@@ -16,7 +16,9 @@ Exit codes: 0 affirmative, 2 negative with certificate, 3 inconclusive,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,9 +65,13 @@ def encode_complex(z) -> list:
 
 def decode_complex(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(float(re), float(im))
+        z = complex(v)
+    else:
+        re, im = v
+        z = complex(float(re), float(im))
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite number %r" % (v,))
+    return z
 
 
 def encode_hermitian(w) -> list:
@@ -157,7 +163,7 @@ def _json_default(o):
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True,
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default) + "\n"
 
 
@@ -175,25 +181,35 @@ def _emit(payload: dict, out_path, summary: str) -> None:
 # config plumbing
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # NaN, Infinity, or an overflow like 1e400
+        raise ValueError("non-finite number %s in config" % text)
+    return value
+
+
 def _load_config(args, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            loaded = json.load(fh, parse_float=_finite_number,
+                               parse_constant=_finite_number)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise ValueError("unknown config key(s) for %s: %s"
+                             % (args.command, ", ".join(unknown)))
         cfg.update(loaded)
-    if args.tol is not None:
-        cfg["tol"] = args.tol
-    if args.grid is not None:
-        cfg["grid"] = list(args.grid)
-    if args.angles is not None:
-        cfg["angles"] = args.angles
+    for flag in _FLAGS[args.command]:
+        value = getattr(args, flag)
+        if value is not None:
+            cfg[flag] = list(value) if flag == "grid" else value
     if args.seed is not None:
         cfg["seed"] = args.seed
-    for key in ("tol",):
-        if key in cfg and cfg[key] is not None and cfg[key] <= 0:
-            raise ValueError("tolerance must be positive")
+    tol = cfg.get("tol")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     return cfg
 
 
@@ -562,6 +578,23 @@ _COMMANDS = {
     "ccverify": cmd_ccverify,
 }
 
+# Scalar flags that override config fields.  Each subcommand registers only
+# the ones it reads, so passing any other is a usage error.
+_FLAG_SPECS = {
+    "tol": {"type": float, "help": "override the main tolerance"},
+    "grid": {"type": _grid_spec, "help": "generator grid as RADIIxANGLES"},
+    "angles": {"type": int, "help": "angle samples for circle sweeps"},
+}
+_FLAGS = {
+    "counterexample": ("grid",),
+    "pick": ("tol",),
+    "cone": ("tol", "grid"),
+    "naimark": (),
+    "variety": ("tol", "angles"),
+    "noxy": ("grid",),
+    "ccverify": ("tol",),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="neilcone",
@@ -572,11 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="run the %s pipeline" % name)
         p.add_argument("--config", help="JSON file with structured inputs")
         p.add_argument("--out", help="write the JSON result here")
-        p.add_argument("--tol", type=float, help="override the main tolerance")
-        p.add_argument("--grid", type=_grid_spec,
-                       help="generator grid as RADIIxANGLES")
-        p.add_argument("--angles", type=int,
-                       help="angle samples for circle sweeps")
+        for flag in _FLAGS[name]:
+            p.add_argument("--" + flag, **_FLAG_SPECS[flag])
         p.add_argument("--seed", type=int, help="seed recorded in the output")
     return parser
 
@@ -585,7 +615,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

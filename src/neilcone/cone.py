@@ -181,9 +181,8 @@ class PrimalOptions:
     tol: float = PRIMAL_TOL
     max_iter: int = 20000
     psd_tol: float = BLOCK_PSD_TOL
-    stall_window: int = 1000
+    stall_window: int = 250
     stall_ratio: float = 0.98
-    sweep_tol: float = 1e-9
     screen_iters: int = 400
     support_atoms: int = 8
     support_radius: float = 0.1
@@ -211,7 +210,6 @@ class DualOptions:
     working_limit: int = 48
     validation_radii: int = 64
     validation_angles: int = 128
-    sweep_tol: float = 1e-9
 
 
 @dataclass
@@ -282,6 +280,12 @@ def primal_feasibility(problem: ConeProblem,
     generator action is a Hadamard product.  Returns Feasible only after
     re-checking, at full precision, that the blocks are PSD and reproduce
     the target; anything else is Undecided, never a claim of infeasibility.
+
+    Every solve stops at the first checked measure: on a large grid that
+    can be the screen, a one-candidate scan, a support solve or the
+    full-grid fallback, and the measure lives on the grid of whichever
+    solve found it.  A solve that finds none stops at its stall rule or its
+    budget (see ``_dr_run``).
     """
     opts = opts or PrimalOptions()
     grid = problem.effective_grid
@@ -302,7 +306,9 @@ def primal_feasibility(problem: ConeProblem,
     # every neighboring grid point a brief restricted solve and keep the one
     # that actually drives the residual down (the right atom collapses it,
     # wrong ones stall high).  A measure on a subgrid is a measure for the
-    # problem.  Fall back to the full grid with the leftover budget.
+    # problem, so a scan that already returns checked blocks ends the search
+    # on its own subgrid.  Fall back to the full grid with the leftover
+    # budget.
     blocks, best, z, spent = _dr_run(coefs, k_hat, None, opts.screen_iters,
                                      opts)
     if blocks is not None:
@@ -337,9 +343,14 @@ def primal_feasibility(problem: ConeProblem,
             break
         scans = []
         for i in candidates:
-            _, res, _, it = _dr_run(coefs[atoms + [i]], k_hat, None,
-                                    opts.scan_iters, opts)
+            blocks, res, _, it = _dr_run(coefs[atoms + [i]], k_hat, None,
+                                         opts.scan_iters, opts)
             spent += it
+            if blocks is not None:
+                sub_grid = tuple(grid[j] for j in atoms + [i])
+                return Feasible(
+                    DiscreteMeasure(sub_grid, blocks, psd_tol=opts.psd_tol),
+                    res)
             scans.append((res, i))
         atoms.append(min(scans)[1])
         sel = inf_idx + atoms
@@ -368,6 +379,9 @@ def _dr_run(coefs, k_hat, z, max_iter, opts: PrimalOptions):
     The PSD-side iterate is always an honest measure candidate whose only
     defect is the affine residual, which the splitting drives to the
     distance between the sets (zero exactly when a measure exists).
+    Stops at the first iterate whose residual is within ``opts.tol`` and
+    whose blocks pass the PSD check, at the stall rule (checked from
+    iteration 2 * stall_window on) or after ``max_iter`` iterations.
     Returns (feasible_blocks_or_None, best_residual, z_state, iterations).
     """
     conj_coefs = np.conj(coefs)
@@ -397,6 +411,8 @@ def _dr_run(coefs, k_hat, z, max_iter, opts: PrimalOptions):
         # Stall rule: give up only when a whole window brought less than a
         # (1 - stall_ratio) relative improvement; slow steady linear decay
         # at that rate cannot reach tol within the iteration cap anyway.
+        # With the default 250-iteration window the first check falls at
+        # iteration 500; infeasible runs are flat to three digits by then.
         if (
             it >= 2 * opts.stall_window
             and history[-1] > opts.stall_ratio * history[-opts.stall_window]
@@ -429,6 +445,10 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
     and the violation halfspace.  Corrections are kept for the two non-affine
     sets.  Returns the polished W or None when the target violation is not
     reachable (distance plateau).
+
+    The plateau test runs every 200 iterations from iteration 600 on and
+    gives up when the cone step's gap is still above 0.8 of its value 400
+    iterations earlier; a polish that will succeed shrinks it far faster.
     """
     g, n = conj_coefs.shape[0], conj_coefs.shape[1]
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
@@ -481,8 +501,8 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
         w = new_w
 
         gap_hist.append(gap)
-        if it >= 1200 and it % 200 == 0:
-            old = gap_hist[it - 600]
+        if it >= 600 and it % 200 == 0:
+            old = gap_hist[it - 400]
             if gap > 1e-8 * n and gap > 0.8 * old:
                 return None  # plateau: the requested violation is unreachable
     w, ys = _project_affine(w, ys, conj_coefs, denom_s, trace_target)

@@ -42,6 +42,18 @@ def test_matrix_and_point_round_trip():
         assert cli.decode_point(cli.encode_point(p)) == p
 
 
+def test_decode_complex_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), [0.0, float("-inf")],
+                [float("nan"), 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.decode_complex(bad)
+
+
+def test_dump_rejects_non_finite():
+    with pytest.raises(ValueError):
+        cli._dump({"max_norm": float("nan")})
+
+
 def test_grid_spec_parsing():
     assert cli._grid_spec("10x32") == (10, 32)
     assert cli._grid_spec("64X128") == (64, 128)
@@ -134,11 +146,72 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["variety", "--grid", "banana"])
+        cli.main(["cone", "--grid", "banana"])
     assert exc.value.code == 1
     assert cli.main(["pick"]) == 1  # missing required config fields
     assert cli.main(["variety", "--config", str(tmp_path / "missing.json")]) == 1
     assert cli.main(["variety", "--tol", "-1"]) == 1
+
+
+def run_raw_config(tmp_path, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return run_cli(tmp_path, command, "--config", str(cfg))
+
+
+def test_pick_nan_node_exits_one(tmp_path, capsys):
+    code, data = run_raw_config(
+        tmp_path, "pick",
+        '{"nodes": [[NaN, 0.0], [0.5, 0.0]], "targets": [0.0, 0.1]}')
+    assert (code, data) == (1, None)
+    assert "non-finite number NaN" in capsys.readouterr().err
+
+
+def test_variety_infinity_exits_one(tmp_path, capsys):
+    code, data = run_raw_config(
+        tmp_path, "variety",
+        '{"s": [[Infinity, 0.0], [0.0, 0.0]], "t": [[1.0, 0.0], [0.0, 1.0]]}')
+    assert (code, data) == (1, None)
+    assert "non-finite number Infinity" in capsys.readouterr().err
+
+
+def test_overflowing_number_exits_one(tmp_path, capsys):
+    code, data = run_raw_config(
+        tmp_path, "pick", '{"nodes": [[1e400, 0.0]], "targets": [0.0]}')
+    assert (code, data) == (1, None)
+    assert "non-finite number 1e400" in capsys.readouterr().err
+    # JSON integers are exact, so a huge one overflows only on conversion.
+    code, data = run_raw_config(
+        tmp_path, "pick", '{"nodes": [1%s], "targets": [0.0]}' % ("0" * 400))
+    assert (code, data) == (1, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pick", "--grid", "2x3"],
+    ["pick", "--angles", "7"],
+    ["counterexample", "--tol", "1e-3"],
+    ["variety", "--grid", "10x32"],
+    ["naimark", "--tol", "1e-3"],
+])
+def test_flags_nothing_reads_exit_one(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+
+
+def test_unknown_config_keys_exit_one(tmp_path, capsys):
+    code, data = run_raw_config(
+        tmp_path, "pick",
+        '{"nodes": [0.0], "targets": [0.5], "grid": [2, 3], "angles": 7}')
+    assert (code, data) == (1, None)
+    assert "unknown config key(s) for pick: angles, grid" in capsys.readouterr().err
+    code, _ = run_raw_config(tmp_path, "variety", '{"angle": 90}')
+    assert code == 1
+
+
+def test_tolerance_must_be_finite(tmp_path):
+    assert cli.main(["variety", "--tol", "nan"]) == 1
+    assert cli.main(["variety", "--tol", "inf"]) == 1
 
 
 # ---------------------------------------------------------------------------

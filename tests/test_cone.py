@@ -24,6 +24,7 @@ from neilcone.cone import (
     validate_certificate,
     validation_grid,
     _apply_coefs,
+    _dual_polish,
 )
 from neilcone.kernels import (
     DEFAULT_SAMPLES,
@@ -256,8 +257,47 @@ def test_primal_iteration_cap_reports_undecided():
     assert got.iterations <= 3
 
 
+def restricted_infeasible_problem():
+    """-I on three samples over {inf, 0}: no measure reaches a negative
+    diagonal."""
+    samples = SampleSet((0.0, 0.4, -0.3 + 0.2j))
+    target = MatrixKernel(samples, 1, -np.eye(3, dtype=complex))
+    return ConeProblem(samples, 1, default_grid(), target,
+                       generator_restriction=(INF, ExtendedPoint.disk(0.0)))
+
+
+def test_primal_infeasible_stops_at_first_stall_check():
+    opts = PrimalOptions()
+    got = primal_feasibility(restricted_infeasible_problem(), opts)
+    assert isinstance(got, Undecided)
+    assert got.iterations == 2 * opts.stall_window
+
+
 # ---------------------------------------------------------------------------
 # dual search
+
+
+def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
+    problem, _ = perturbed_problem(11)
+    n = problem.dim
+    sigma = problem.target.flat
+    conj_coefs = np.conj(_apply_coefs(problem.grid, problem.sample_set,
+                                      problem.block_dim))
+    # trace(W sigma) >= n * min_eig(sigma) for every PSD W of trace n.
+    unreachable = 2.0 * n * float(np.min(np.linalg.eigvalsh(sigma))) - 1.0
+    calls = []
+    project = linalg.psd_project_batch
+
+    def counting(stack):
+        calls.append(len(stack))
+        return project(stack)
+
+    monkeypatch.setattr(linalg, "psd_project_batch", counting)
+    opts = DualOptions()
+    got = _dual_polish(np.eye(n, dtype=complex), sigma, conj_coefs, n,
+                       unreachable, opts.polish_margin, opts)
+    assert got is None
+    assert len(calls) == 600
 
 
 def test_dual_zero_target_yields_none():
@@ -391,6 +431,19 @@ def test_pick_tautological_test_function_values():
     w = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
     got = pick_check(nodes, w)
     assert got.status == "feasible"
+
+
+def test_pick_on_grid_target_keeps_the_scanned_atom():
+    # 1 - psi_lam psi_lam* is one atom at lam: the greedy scan's first
+    # checked measure is the answer, on the one-point subgrid {lam}.
+    lam = 0.45 * np.exp(2j * np.pi * 9 / 32)  # ring 4 of the default grid
+    nodes = (0.0, 0.5, -0.5, 0.3j)
+    w = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
+    got = pick_check(nodes, w)
+    assert got.status == "feasible"
+    assert got.residual <= PrimalOptions().tol
+    assert len(got.measure.grid) == 1
+    assert abs(got.measure.grid[0].point - lam) <= 1e-12
 
 
 def test_pick_two_nodes_against_classical_oracle():
