@@ -11,15 +11,15 @@ import numpy as np
 
 from neilcone import gns, linalg
 from neilcone.cone import ConeProblem, default_grid, dual_search
-from neilcone.kernels import (DEFAULT_SAMPLES, ExtendedPoint, sigma_kernel,
-                              test_fn)
+from neilcone.kernels import DEFAULT_SAMPLES, sigma_kernel, test_fn
 
 samples = DEFAULT_SAMPLES
-mu = ExtendedPoint.disk(0.4)
+mu = 0.4
 witness = test_fn(mu, samples.array())
+# np.inf is the generator z^2 and 0 the generator z^3.
 problem = ConeProblem(
     samples, 1, default_grid(), sigma_kernel(witness[:, None, None], samples),
-    generator_restriction=(ExtendedPoint.infinity(), ExtendedPoint.disk(0.0)))
+    generator_restriction=(np.inf, 0.0))
 
 print("searching for a functional separating the mu=2/5 kernel from the")
 print("two squaring generators ...")

@@ -53,8 +53,8 @@ def main():
     print()
 
     space = build_gns(cert.w, samples, block_dim=2)
-    lam_grid = list(validation_grid())
-    values = np.array([test_fn(p, samples.array()) for p in lam_grid])
+    lam_grid = validation_grid()
+    values = test_fn(lam_grid[:, None], samples.array())
     norms = rep_norm_sweep(space, values)
     k = int(np.argmax(norms))
     print("representation on a rank-%d space:" % space.rank)

@@ -10,12 +10,11 @@ import numpy as np
 
 from neilcone import kernels
 from neilcone.cone import pick_check
-from neilcone.kernels import ExtendedPoint
 
 # Data manufactured from a single test function: certainly interpolable.
 lam = 0.25 * np.exp(2j * np.pi * 3 / 32)
 nodes = (0.0, 0.5, -0.5, 0.3j)
-targets = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
+targets = kernels.test_fn(lam, np.array(nodes, dtype=complex))
 
 print("nodes:  ", " ".join("%.3g%+.3gj" % (z.real, z.imag)
                            for z in map(complex, nodes)))
@@ -34,10 +33,9 @@ print()
 
 # The same data against only the squaring generators z^2 and z^3: the
 # mass that explained the data above is no longer available, and a
-# certificate of impossibility appears instead.
-restricted = pick_check(nodes, targets,
-                        restriction=(ExtendedPoint.infinity(),
-                                     ExtendedPoint.disk(0.0)))
+# certificate of impossibility appears instead.  np.inf is the parameter of
+# z^2, and 0 that of z^3.
+restricted = pick_check(nodes, targets, restriction=(np.inf, 0.0))
 print("restricted to the z^2 / z^3 generators:", restricted.status)
 if restricted.certificate is not None:
     print("  certificate violation %.4e" % restricted.certificate.violation)

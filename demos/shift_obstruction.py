@@ -20,15 +20,7 @@ print()
 
 # The compression itself is faithful on low-degree words: build it
 # explicitly and compare X^a Y^b against the compressed powers of U.
-window = 8
-dim = 2 * window + 1
-u = np.zeros((dim, dim), dtype=complex)
-for i in range(dim):
-    u[(i + 1) % dim, i] = 1.0
-h = (0,) + tuple(range(2, window + 1))
-embed = np.zeros((dim, len(h)), dtype=complex)
-for col, k in enumerate(h):
-    embed[window + k, col] = 1.0
+u, _, embed = dilation.truncated_shift(window=8)
 x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
 y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
 

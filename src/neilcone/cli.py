@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import cone, dilation, gns, kernels, linalg
+from . import dilation, gns, kernels, linalg
 from .cone import (
     ConeProblem,
     DiscreteMeasure,
@@ -33,7 +33,6 @@ from .cone import (
     PrimalOptions,
     default_grid,
     dual_search,
-    margins,
     pick_check,
     primal_feasibility,
     validate_certificate,
@@ -41,21 +40,22 @@ from .cone import (
 )
 from .kernels import (
     DEFAULT_SAMPLES,
-    ExtendedPoint,
     MatrixBlaschke,
     MatrixKernel,
     SampleSet,
+    extended_points,
     f_eval,
     sigma_kernel,
     test_fn,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # JSON encoding: complex scalars as [re, im], Hermitian matrices as
-# lower-triangle row lists, general matrices as full nested lists.
+# lower-triangle row lists, general matrices as full nested lists, and the
+# generator parameter np.inf as "inf".
 
 
 def encode_complex(z) -> list:
@@ -107,14 +107,14 @@ def decode_matrix(rows) -> np.ndarray:
                     dtype=complex)
 
 
-def encode_point(p: ExtendedPoint):
-    return "inf" if p.is_infinity else encode_complex(p.point)
+def encode_point(p):
+    return "inf" if cmath.isinf(p) else encode_complex(p)
 
 
-def decode_point(v) -> ExtendedPoint:
-    if v == "inf":
-        return ExtendedPoint.infinity()
-    return ExtendedPoint.disk(decode_complex(v))
+def decode_point(v) -> complex:
+    z = complex(np.inf) if v == "inf" else decode_complex(v)
+    extended_points([z])
+    return z
 
 
 def encode_measure(m: DiscreteMeasure) -> dict:
@@ -205,11 +205,10 @@ def _load_config(args, defaults: dict) -> dict:
         value = getattr(args, flag)
         if value is not None:
             cfg[flag] = list(value) if flag == "grid" else value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     tol = cfg.get("tol")
-    if tol is not None and not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    if tol is not None and not (isinstance(tol, (int, float))
+                                and 0 < tol < math.inf):
+        raise ValueError("tolerance must be a positive finite number")
     return cfg
 
 
@@ -220,8 +219,8 @@ def _sample_set(cfg) -> SampleSet:
     return SampleSet(tuple(decode_complex(p) for p in pts))
 
 
-def _generator_grid(cfg) -> tuple:
-    radii, angles = cfg.get("grid", [10, 32])
+def _generator_grid(cfg) -> np.ndarray:
+    radii, angles = cfg["grid"]
     return default_grid(int(radii), int(angles))
 
 
@@ -248,7 +247,6 @@ def cmd_counterexample(args) -> int:
         "margin_floor": -1e-6,
         "deficiency_max": -1e-4,
         "norm_cap": 1e-6,
-        "seed": 0,
     })
     samples = _sample_set(cfg)
     u = decode_matrix(cfg["unitary"]) if cfg["unitary"] else kernels.DEFAULT_UNITARY
@@ -276,9 +274,9 @@ def cmd_counterexample(args) -> int:
                                   radii=int(cfg["validation_radii"]),
                                   angles=int(cfg["validation_angles"]))
     space = gns.build_gns(cert.w, samples, block_dim=2)
-    lam_grid = list(validation_grid(int(cfg["validation_radii"]),
-                                    int(cfg["validation_angles"])))
-    values = np.array([test_fn(p, samples.array()) for p in lam_grid])
+    lam_grid = validation_grid(int(cfg["validation_radii"]),
+                               int(cfg["validation_angles"]))
+    values = test_fn(lam_grid[:, None], samples.array())
     norms = gns.rep_norm_sweep(space, values)
     t = gns.amplified_deficiency(space, f_values)
 
@@ -328,7 +326,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_pick(args) -> int:
     cfg = _load_config(args, {"nodes": None, "targets": None,
-                              "restriction": None, "tol": None, "seed": 0})
+                              "restriction": None, "tol": None})
     if not cfg["nodes"] or cfg["targets"] is None:
         raise ValueError("pick needs config fields 'nodes' and 'targets'")
     nodes = [decode_complex(v) for v in cfg["nodes"]]
@@ -360,7 +358,7 @@ def cmd_pick(args) -> int:
 def cmd_cone(args) -> int:
     cfg = _load_config(args, {"samples": None, "block_dim": 1, "target": None,
                               "grid": [10, 32], "restriction": None,
-                              "tol": None, "seed": 0})
+                              "tol": None})
     if cfg["target"] is None:
         raise ValueError("cone needs a config field 'target' (Hermitian lower "
                          "triangle of the flattened kernel)")
@@ -398,7 +396,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_naimark(args) -> int:
-    cfg = _load_config(args, {"a_list": None, "b_list": None, "seed": 0})
+    cfg = _load_config(args, {"a_list": None, "b_list": None})
     if cfg["a_list"] is None:
         half = [[[0.5, 0.0]]]
         cfg["a_list"] = [half, half]
@@ -429,7 +427,7 @@ def cmd_naimark(args) -> int:
 
 def cmd_variety(args) -> int:
     cfg = _load_config(args, {"s": None, "t": None, "angles": 720,
-                              "tol": 1e-8, "seed": 0})
+                              "tol": 1e-8})
     if cfg["s"] is None:
         cfg["s"] = encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         cfg["t"] = encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))
@@ -454,17 +452,16 @@ def cmd_variety(args) -> int:
 
 
 def cmd_noxy(args) -> int:
-    cfg = _load_config(args, {"witness_point": [0.4, 0.0], "samples": None,
-                              "grid": [10, 32], "seed": 0})
+    cfg = _load_config(args, {"witness_point": [0.4, 0.0], "samples": None})
     samples = _sample_set(cfg)
-    mu = ExtendedPoint.disk(decode_complex(cfg["witness_point"]))
+    mu = decode_complex(cfg["witness_point"])
+    extended_points([mu])
     witness = test_fn(mu, samples.array())
     target = sigma_kernel(witness[:, None, None], samples)
-    problem = ConeProblem(
-        samples, 1, _generator_grid(cfg), target,
-        generator_restriction=(ExtendedPoint.infinity(),
-                               ExtendedPoint.disk(0.0)),
-    )
+    # The squaring generators z^2 and z^3 alone, in place of a grid.
+    squaring = (np.inf, 0.0)
+    problem = ConeProblem(samples, 1, squaring, target,
+                          generator_restriction=squaring)
     cert = dual_search(problem)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -507,15 +504,7 @@ def cmd_noxy(args) -> int:
 
 
 def _ccverify_default():
-    window = 8
-    dim = 2 * window + 1
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        u[(i + 1) % dim, i] = 1.0
-    h = (0,) + tuple(range(2, window + 1))
-    embed = np.zeros((dim, len(h)), dtype=complex)
-    for col, k in enumerate(h):
-        embed[window + k, col] = 1.0
+    u, _, embed = dilation.truncated_shift(8)
     x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
     y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
     return x, y, u, embed, 5
@@ -523,7 +512,7 @@ def _ccverify_default():
 
 def cmd_ccverify(args) -> int:
     cfg = _load_config(args, {"x": None, "y": None, "u": None, "embed": None,
-                              "n_max": 5, "tol": 1e-10, "seed": 0})
+                              "n_max": 5, "tol": 1e-10})
     if cfg["x"] is None:
         x, y, u, embed, n_max = _ccverify_default()
         cfg["x"], cfg["y"] = encode_matrix(x), encode_matrix(y)
@@ -591,7 +580,7 @@ _FLAGS = {
     "cone": ("tol", "grid"),
     "naimark": (),
     "variety": ("tol", "angles"),
-    "noxy": ("grid",),
+    "noxy": (),
     "ccverify": ("tol",),
 }
 
@@ -607,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON result here")
         for flag in _FLAGS[name]:
             p.add_argument("--" + flag, **_FLAG_SPECS[flag])
-        p.add_argument("--seed", type=int, help="seed recorded in the output")
     return parser
 
 
@@ -615,7 +603,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

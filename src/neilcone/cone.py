@@ -26,12 +26,12 @@ outcome and the two positive outcomes exclude each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from neilcone import linalg
-from neilcone.kernels import ExtendedPoint, MatrixKernel, SampleSet, generator_diag
+from neilcone.kernels import MatrixKernel, SampleSet, extended_points, test_fn
 
 GRID_EPS = 1e-8          # allowed margin slack on the problem grid
 MIN_VIOLATION = 1e-4     # a certificate must beat the target by this much
@@ -41,40 +41,40 @@ MERGE_DISTANCE = 0.05    # grid points this close aggregate into one cluster
 DUST_TRACE = 1e-6        # clusters below this total trace are discarded
 
 
-def default_grid(radii: int = 10, angles: int = 32) -> tuple[ExtendedPoint, ...]:
+def _polar_grid(radii: np.ndarray, angles: int) -> np.ndarray:
+    """Infinity, then ``angles`` equally spaced points on each radius."""
+    ring = np.exp(2j * np.pi * np.arange(angles) / angles)
+    return np.concatenate([[np.inf], (radii[:, None] * ring).ravel()])
+
+
+def default_grid(radii: int = 10, angles: int = 32) -> np.ndarray:
     """Infinity plus concentric rings of disk parameters.
 
     Radii sit at (j + 1/2)/radii, so the default ten rings run 0.05..0.95;
     boundary-adjacent parameters are redundant with infinity and excluded.
     """
-    pts = [ExtendedPoint.infinity()]
-    for j in range(radii):
-        r = (j + 0.5) / radii
-        for k in range(angles):
-            pts.append(ExtendedPoint.disk(r * np.exp(2j * np.pi * k / angles)))
-    return tuple(pts)
+    return _polar_grid((np.arange(radii) + 0.5) / radii, angles)
 
 
 def validation_grid(radii: int = 64, angles: int = 128,
-                    rmax: float = 0.999) -> tuple[ExtendedPoint, ...]:
+                    rmax: float = 0.999) -> np.ndarray:
     """Dense audit grid reaching almost to the boundary, plus infinity."""
-    pts = [ExtendedPoint.infinity()]
-    for j in range(radii):
-        r = rmax * (j + 1.0) / radii
-        for k in range(angles):
-            pts.append(ExtendedPoint.disk(r * np.exp(2j * np.pi * k / angles)))
-    return tuple(pts)
+    return _polar_grid(rmax * (np.arange(radii) + 1.0) / radii, angles)
 
 
 @dataclass
 class ConeProblem:
-    """A membership question: is ``target`` in the cone over ``grid``?"""
+    """A membership question: is ``target`` in the cone over ``grid``?
+
+    Grids are generator parameters (see ``kernels.extended_points``), with
+    ``np.inf`` for the z^2 generator.
+    """
 
     sample_set: SampleSet
     block_dim: int
-    grid: tuple[ExtendedPoint, ...]
+    grid: np.ndarray
     target: MatrixKernel
-    generator_restriction: tuple[ExtendedPoint, ...] | None = None
+    generator_restriction: np.ndarray | None = None
 
     def __post_init__(self):
         if self.block_dim not in (1, 2):
@@ -83,18 +83,18 @@ class ConeProblem:
             raise ValueError("target block dimension does not match the problem")
         if self.target.sample_set.points != self.sample_set.points:
             raise ValueError("target lives on a different sample set")
-        self.grid = tuple(self.grid)
+        self.grid = extended_points(self.grid)
         if self.generator_restriction is not None:
-            self.generator_restriction = tuple(self.generator_restriction)
-        if not self.effective_grid:
+            self.generator_restriction = extended_points(
+                self.generator_restriction)
+        if not len(self.effective_grid):
             raise ValueError("the generator grid is empty")
-        if self.generator_restriction is None and not any(
-            p.is_infinity for p in self.grid
-        ):
+        if (self.generator_restriction is None
+                and not np.isinf(self.grid).any()):
             raise ValueError("an unrestricted grid must include infinity")
 
     @property
-    def effective_grid(self) -> tuple[ExtendedPoint, ...]:
+    def effective_grid(self) -> np.ndarray:
         if self.generator_restriction is not None:
             return self.generator_restriction
         return self.grid
@@ -108,12 +108,12 @@ class ConeProblem:
 class DiscreteMeasure:
     """A matrix measure supported on finitely many generator parameters."""
 
-    grid: tuple[ExtendedPoint, ...]
+    grid: np.ndarray  # generator parameters, np.inf for z^2
     blocks: np.ndarray  # (G, n, n), each PSD
     psd_tol: float = BLOCK_PSD_TOL
 
     def __post_init__(self):
-        self.grid = tuple(self.grid)
+        self.grid = extended_points(self.grid)
         blocks = linalg.from_lower(np.asarray(self.blocks, dtype=complex))
         if blocks.ndim != 3 or blocks.shape[0] != len(self.grid):
             raise ValueError("need one square block per grid point")
@@ -215,7 +215,7 @@ class DualOptions:
 @dataclass
 class ValidationReport:
     worst_margin: float
-    worst_point: ExtendedPoint
+    worst_point: complex  # inf for the z^2 generator
     modulus_estimate: float
     grid_size: int
     margins: np.ndarray
@@ -223,7 +223,7 @@ class ValidationReport:
 
 @dataclass
 class Cluster:
-    center: ExtendedPoint
+    center: complex  # inf for the z^2 generator
     total_trace: float
     weight: np.ndarray
     zero_block: np.ndarray | None
@@ -248,19 +248,19 @@ def _generator_data(grid, samples: SampleSet, block_dim: int):
     """Generator diagonals and Hadamard coefficients A_g = 1 - d d*.
 
     (M_g - D_g M_g D_g*)_{ij} = A_g[i, j] * (M_g)_{ij}; the adjoint that
-    shows up in dual margins uses conj(A_g).
+    shows up in dual margins uses conj(A_g).  Row g of the diagonals is
+    psi_g(x_i), each entry repeated block_dim times; every entry has modulus
+    at most max|x_i|^2 < 1.
     """
-    diags = np.stack([generator_diag(p, samples, block_dim) for p in grid])
+    vals = test_fn(np.asarray(grid, dtype=complex)[:, None], samples.array())
+    diags = np.repeat(vals, block_dim, axis=1)
     return diags, 1.0 - diags[:, :, None] * np.conj(diags[:, None, :])
-
-
-def _apply_coefs(grid, samples: SampleSet, block_dim: int) -> np.ndarray:
-    return _generator_data(grid, samples, block_dim)[1]
 
 
 def apply_generators(measure: DiscreteMeasure, problem: ConeProblem) -> MatrixKernel:
     """Assemble sum_g (M_g - D_g M_g D_g*) as a flat kernel."""
-    coefs = _apply_coefs(measure.grid, problem.sample_set, problem.block_dim)
+    coefs = _generator_data(measure.grid, problem.sample_set,
+                            problem.block_dim)[1]
     flat = np.einsum("gij,gij->ij", coefs, measure.blocks)
     return MatrixKernel(problem.sample_set, problem.block_dim, flat)
 
@@ -289,7 +289,7 @@ def primal_feasibility(problem: ConeProblem,
     """
     opts = opts or PrimalOptions()
     grid = problem.effective_grid
-    coefs = _apply_coefs(grid, problem.sample_set, problem.block_dim)
+    coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
     k_hat = problem.target.flat
 
     if len(grid) <= opts.support_threshold:
@@ -316,15 +316,13 @@ def primal_feasibility(problem: ConeProblem,
                         best)
     screened = linalg.psd_project_batch(linalg.hermitian_part(z))
     mass = np.real(np.einsum("gii->g", screened))
-    pts = np.array([complex(np.inf) if p.is_infinity else p.point
-                    for p in grid])
-    finite = np.isfinite(pts)
-    inf_idx = [i for i, p in enumerate(grid) if p.is_infinity][:1]
+    finite = np.isfinite(grid)
+    inf_idx = np.flatnonzero(~finite)[:1].tolist()
     atoms: list[int] = []
     while len(atoms) < opts.support_atoms:
         open_mass = np.where(finite, mass, -math.inf)
         for i in atoms:
-            open_mass[np.abs(pts - pts[i]) <= opts.support_radius] = -math.inf
+            open_mass[np.abs(grid - grid[i]) <= opts.support_radius] = -math.inf
         peak = int(np.argmax(open_mass))
         if not math.isfinite(open_mass[peak]) or open_mass[peak] <= 0.0:
             break
@@ -334,7 +332,7 @@ def primal_feasibility(problem: ConeProblem,
         # collapses the residual within the scan budget.
         candidates = [
             i for i in np.flatnonzero(
-                np.abs(pts - pts[peak]) <= opts.scan_radius)
+                np.abs(grid - grid[peak]) <= opts.scan_radius)
             if i not in atoms
         ]
         candidates.sort(key=lambda i: -mass[i])
@@ -347,21 +345,17 @@ def primal_feasibility(problem: ConeProblem,
                                          opts.scan_iters, opts)
             spent += it
             if blocks is not None:
-                sub_grid = tuple(grid[j] for j in atoms + [i])
-                return Feasible(
-                    DiscreteMeasure(sub_grid, blocks, psd_tol=opts.psd_tol),
-                    res)
+                return Feasible(DiscreteMeasure(grid[atoms + [i]], blocks,
+                                                psd_tol=opts.psd_tol), res)
             scans.append((res, i))
         atoms.append(min(scans)[1])
         sel = inf_idx + atoms
-        sub_grid = tuple(grid[i] for i in sel)
         blocks, sub_best, _z, it = _dr_run(coefs[sel], k_hat, None,
                                            opts.support_iters, opts)
         spent += it
         if blocks is not None:
-            return Feasible(
-                DiscreteMeasure(sub_grid, blocks, psd_tol=opts.psd_tol),
-                sub_best)
+            return Feasible(DiscreteMeasure(grid[sel], blocks,
+                                            psd_tol=opts.psd_tol), sub_best)
     remaining = opts.max_iter - spent
     if remaining > 0:
         blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, opts)
@@ -513,18 +507,19 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
     return None
 
 
-def _coarse_seed(grid, limit: int) -> list:
+def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
     """Thin a generator grid to at most ``limit`` points, keeping infinity.
 
     The working constraint set stays small because margins vary smoothly in
     the parameter; feasibility over the full family is restored afterwards
     by mixing with the identity and re-audited on the dense grid.
     """
-    inf_pts = [p for p in grid if p.is_infinity]
-    finite = [p for p in grid if not p.is_infinity]
-    room = max(limit - len(inf_pts[:1]), 1)
+    at_inf = np.isinf(grid)
+    inf_pts = grid[at_inf][:1]
+    finite = grid[~at_inf]
+    room = max(limit - len(inf_pts), 1)
     stride = max(1, -(-len(finite) // room))
-    return inf_pts[:1] + finite[::stride]
+    return np.concatenate([inf_pts, finite[::stride]])
 
 
 def _admm_min_violation(sigma_hat, conj_coefs, n, opts: DualOptions):
@@ -622,22 +617,18 @@ def dual_search(problem: ConeProblem,
     if float(np.linalg.norm(sigma_hat)) < 1e-14:
         return None
 
-    if problem.generator_restriction is not None:
-        audit_grid = list(problem.effective_grid)
-    else:
-        # The problem grid joins the audit so certificate margins cover the
-        # parameters measures can actually charge, not just the dense rings.
+    audit_grid = problem.effective_grid
+    if problem.generator_restriction is None:
+        # The problem grid (which holds infinity) joins the audit so
+        # certificate margins cover the parameters measures can actually
+        # charge, not just the dense rings.
         dense = validation_grid(opts.validation_radii, opts.validation_angles)
-        audit_grid = list(problem.effective_grid) + [
-            p for p in dense if not p.is_infinity
-        ]
-        if not any(p.is_infinity for p in audit_grid):
-            audit_grid.insert(0, ExtendedPoint.infinity())
+        audit_grid = np.concatenate([audit_grid, dense[np.isfinite(dense)]])
     audit_diags, audit_coefs = _generator_data(audit_grid, samples, d)
     margin_identity = 1.0 - np.max(np.abs(audit_diags) ** 2, axis=1)
 
     work_grid = _coarse_seed(problem.effective_grid, opts.working_limit)
-    conj_coefs = np.conj(_apply_coefs(work_grid, samples, d))
+    conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
 
     w = _admm_min_violation(sigma_hat, conj_coefs, n, opts)
     w = linalg.psd_project(w)
@@ -700,15 +691,14 @@ def validate_certificate(cert: DualCertificate, problem: ConeProblem,
     restriction set for restricted problems).
     """
     structured = fine_grid is None and problem.generator_restriction is None
-    if fine_grid is None:
-        if problem.generator_restriction is not None:
-            pts = list(problem.effective_grid)
-        else:
-            pts = list(validation_grid(radii, angles))
+    if fine_grid is not None:
+        pts = extended_points(fine_grid)
+    elif problem.generator_restriction is not None:
+        pts = problem.effective_grid
     else:
-        pts = list(fine_grid)
-    vals = margins(cert.w, _apply_coefs(pts, problem.sample_set,
-                                        problem.block_dim))
+        pts = validation_grid(radii, angles)
+    vals = margins(cert.w, _generator_data(pts, problem.sample_set,
+                                           problem.block_dim)[1])
     worst = int(np.argmin(vals))
     if structured:
         rect = vals[1:].reshape(radii, angles)
@@ -717,7 +707,8 @@ def validate_certificate(cert: DualCertificate, problem: ConeProblem,
         mod = float(max(radial.max(initial=0.0), angular.max(initial=0.0)))
     else:
         mod = float(np.max(np.abs(np.diff(vals)))) if len(vals) > 1 else 0.0
-    return ValidationReport(float(vals[worst]), pts[worst], mod, len(pts), vals)
+    return ValidationReport(float(vals[worst]), complex(pts[worst]), mod,
+                            len(pts), vals)
 
 
 def pick_check(nodes, targets, restriction=None,
@@ -756,7 +747,8 @@ def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
     """Cluster a measure's support and summarize the aggregated weights.
 
     Grid points carrying mass merge greedily when within ``merge_distance``
-    in the disk (infinity only merges with itself); clusters below ``dust``
+    in the disk (infinity only merges with itself, and its cluster's center
+    is inf); clusters below ``dust``
     total trace are dropped.  For each cluster the report aggregates the
     full weight matrix and, when 0 is a sample point, the block at (0, 0),
     whose eigenvalues expose rank-one projection structure.  When exactly
@@ -767,31 +759,25 @@ def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
     """
     tr = np.real(np.einsum("gii->g", measure.blocks))
     order = np.argsort(-tr, kind="stable")
-    centers: list[complex | None] = []
+    centers: list[complex] = []
     members: list[list[int]] = []
     masses: list[float] = []
     for idx in order:
         if tr[idx] <= 0.0:
             continue
-        p = measure.grid[idx]
-        key = None if p.is_infinity else p.point
-        placed = False
+        key = complex(measure.grid[idx])
+        at_inf = np.isinf(key)
         for c, (ctr, mass) in enumerate(zip(centers, masses)):
-            if key is None or ctr is None:
-                if key is None and ctr is None:
-                    members[c].append(idx)
-                    masses[c] += tr[idx]
-                    placed = True
-                    break
+            if np.isinf(ctr) != at_inf:
                 continue
-            if abs(key - ctr) <= merge_distance:
+            if at_inf or abs(key - ctr) <= merge_distance:
                 members[c].append(idx)
                 new_mass = mass + tr[idx]
-                centers[c] = (ctr * mass + key * tr[idx]) / new_mass
+                if not at_inf:
+                    centers[c] = (ctr * mass + key * tr[idx]) / new_mass
                 masses[c] = new_mass
-                placed = True
                 break
-        if not placed:
+        else:
             centers.append(key)
             members.append([idx])
             masses.append(float(tr[idx]))
@@ -813,8 +799,7 @@ def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
             sl = slice(zero_idx * d, (zero_idx + 1) * d)
             zb = weight[sl, sl]
             zb_eigs = linalg.herm_eig(zb)[0]
-        point = ExtendedPoint.infinity() if ctr is None else ExtendedPoint.disk(ctr)
-        clusters.append(Cluster(point, mass, weight, zb, zb_eigs))
+        clusters.append(Cluster(ctr, mass, weight, zb, zb_eigs))
     clusters.sort(key=lambda c: -c.total_trace)
 
     deviation = None

@@ -205,6 +205,22 @@ class ObstructionReport:
     cube_overlap: complex
 
 
+def truncated_shift(window: int):
+    """The cyclic shift on 2 * window + 1 coordinates and a small subspace.
+
+    Coordinates run from -window to window, stored at offset ``window``.
+    Returns (u, h_indices, embed): the shift u e_k = e_{k+1} (cyclically),
+    the indices (0, 2, 3, ..., window) of the subspace, and the isometry
+    embedding it as span{e_k : k in h_indices}.
+    """
+    dim = 2 * window + 1
+    u = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
+    h_indices = (0,) + tuple(range(2, window + 1))
+    embed = np.zeros((dim, len(h_indices)), dtype=complex)
+    embed[window + np.array(h_indices), np.arange(len(h_indices))] = 1.0
+    return u, h_indices, embed
+
+
 def no_T_obstruction(window: int = 8) -> ObstructionReport:
     """Exhibit the obstruction on the cyclically truncated two-sided shift.
 
@@ -216,14 +232,7 @@ def no_T_obstruction(window: int = 8) -> ObstructionReport:
     """
     if window < 3:
         raise ValueError("window must be at least 3")
-    dim = 2 * window + 1
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        u[(i + 1) % dim, i] = 1.0
-    h_indices = (0,) + tuple(range(2, window + 1))
-    embed = np.zeros((dim, len(h_indices)), dtype=complex)
-    for col, k in enumerate(h_indices):
-        embed[window + k, col] = 1.0
+    u, h_indices, embed = truncated_shift(window)
     compressed_sq = embed.conj().T @ (u @ u) @ embed
     row_e3 = h_indices.index(3)
     max_overlap = float(np.max(np.abs(compressed_sq[row_e3, :])))

@@ -4,7 +4,7 @@ The constrained algebra in play is the subalgebra of the disk algebra whose
 elements have vanishing derivative at the origin; it is generated by z^2 and
 z^3.  Its test functions are psi_lambda(z) = z^2 (z - lambda)/(1 - conj(lambda) z)
 for lambda in the open disk together with the degenerate member z^2, indexed
-here by an extended point at infinity.  As |lambda| -> 1 the Blaschke factor
+here by the parameter ``np.inf``.  As |lambda| -> 1 the Blaschke factor
 collapses to a unimodular constant, so every boundary parameter gives the
 same generator as infinity up to phase; parameters are therefore kept
 strictly inside the disk.
@@ -27,36 +27,25 @@ UNITARY_TOL = 1e-12
 DIAGONALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A disk parameter or the point at infinity (the generator z^2)."""
+def extended_points(values) -> np.ndarray:
+    """Generator parameters as a 1-D complex array, ``np.inf`` for z^2.
 
-    point: complex | None
-
-    def __post_init__(self):
-        if self.point is not None:
-            z = complex(self.point)
-            if abs(z) > 1.0 - BOUNDARY_MARGIN:
-                raise ValueError(
-                    "disk parameter %r is within %g of the boundary; use "
-                    "infinity for the degenerate generator" % (z, BOUNDARY_MARGIN)
-                )
-            object.__setattr__(self, "point", z)
-
-    @classmethod
-    def disk(cls, z: complex) -> "ExtendedPoint":
-        return cls(complex(z))
-
-    @classmethod
-    def infinity(cls) -> "ExtendedPoint":
-        return cls(None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.point is None
-
-    def __repr__(self):
-        return "ExtendedPoint(inf)" if self.is_infinity else f"ExtendedPoint({self.point!r})"
+    Raises ValueError for NaN and for finite parameters within
+    BOUNDARY_MARGIN of the unit circle; infinity stands for that whole
+    degenerate class.
+    """
+    pts = np.asarray(values, dtype=complex)
+    if pts.ndim != 1:
+        raise ValueError("generator parameters must form a 1-D sequence")
+    bad = np.isnan(pts) | (np.isfinite(pts)
+                           & (np.abs(pts) > 1.0 - BOUNDARY_MARGIN))
+    if bad.any():
+        raise ValueError(
+            "disk parameter %r is NaN or within %g of the boundary; use inf "
+            "for the degenerate generator"
+            % (complex(pts[np.argmax(bad)]), BOUNDARY_MARGIN)
+        )
+    return pts
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,7 @@ class SampleSet:
         if not pts:
             raise ValueError("a sample set needs at least one point")
         for z in pts:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:  # also rejects NaN and infinities
                 raise ValueError("sample point %r is not inside the open disk" % (z,))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -106,12 +95,18 @@ def blaschke(lam: complex, z):
     return (z - lam) / (1.0 - np.conj(lam) * z)
 
 
-def test_fn(point: ExtendedPoint, z):
-    """Generator psi at an extended parameter: z^2 b_lam(z), or z^2 at infinity."""
+def test_fn(lam, z):
+    """Generators psi_lam(z) = z^2 b_lam(z), and z^2 where lam is infinite.
+
+    ``lam`` and ``z`` broadcast against each other, so a column of
+    parameters against a row of points gives one generator per row.
+    """
+    lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if point.is_infinity:
-        return z * z
-    return z * z * blaschke(point.point, z)
+    at_inf = np.isinf(lam)
+    lam = np.where(at_inf, 0.0, lam)  # finite stand-in: no inf/inf NaNs
+    sq = z * z
+    return np.where(at_inf, sq, sq * ((z - lam) / (1.0 - np.conj(lam) * z)))
 
 
 def szego(x, y):
@@ -230,16 +225,6 @@ def sigma_kernel(f_values: np.ndarray, samples: SampleSet) -> MatrixKernel:
     # Every block (i, j) carries the d-dim identity, not just the diagonal.
     flat = np.kron(np.ones((n, n)), np.eye(d)) - prod.reshape(n * d, n * d)
     return MatrixKernel(samples, d, flat)
-
-
-def generator_diag(point: ExtendedPoint, samples: SampleSet, block_dim: int = 1) -> np.ndarray:
-    """Diagonal of the generator's multiplication operator on the sample set.
-
-    Entry i (repeated block_dim times) is psi_point(x_i); every entry has
-    modulus at most max|x_i|^2 < 1, so the diagonal is strictly contractive.
-    """
-    vals = test_fn(point, samples.array())
-    return np.repeat(vals, block_dim)
 
 
 def defect_kernel(mb: MatrixBlaschke, samples: SampleSet) -> MatrixKernel:

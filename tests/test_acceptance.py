@@ -27,14 +27,13 @@ from neilcone.cone import (
 )
 from neilcone.kernels import (
     DEFAULT_SAMPLES,
-    ExtendedPoint,
     MatrixBlaschke,
     MatrixKernel,
     SampleSet,
 )
 from conftest import random_disk_points, random_psd, random_unitary
 
-INF = ExtendedPoint.infinity()
+INF = np.inf
 
 
 def scorecard(num: int, label: str, ok: bool) -> None:
@@ -85,9 +84,7 @@ def test_diagonal_witness_and_structure():
     mb = MatrixBlaschke(0.5, -0.5, np.eye(2, dtype=complex))
     f_vals = kernels.f_eval(mb, samples.array())
     target = kernels.sigma_kernel(f_vals, samples)
-    grid = (INF, ExtendedPoint.disk(0.0), ExtendedPoint.disk(0.5),
-            ExtendedPoint.disk(-0.5), ExtendedPoint.disk(0.3j),
-            ExtendedPoint.disk(-0.3j))
+    grid = (INF, 0.0, 0.5, -0.5, 0.3j, -0.3j)
     problem = ConeProblem(samples, 2, grid, target)
 
     e1 = np.diag([1.0, 0.0]).astype(complex)
@@ -105,12 +102,12 @@ def test_diagonal_witness_and_structure():
     if feasible:
         report = recover_structure(primal.measure, problem)
         near = lambda z: min(report.clusters,
-                             key=lambda c: abs(c.center.point - z))
+                             key=lambda c: abs(c.center - z))
         c_pos, c_neg = near(0.5), near(-0.5)
         structure_ok = (
             len(report.clusters) == 2
-            and abs(c_pos.center.point - 0.5) <= 1e-6
-            and abs(c_neg.center.point + 0.5) <= 1e-6
+            and abs(c_pos.center - 0.5) <= 1e-6
+            and abs(c_neg.center + 0.5) <= 1e-6
             and report.projection_deviation is not None
             and report.projection_deviation <= 1e-5
             and onorm(c_pos.zero_block - e1) <= 1e-5
@@ -134,7 +131,7 @@ def feasible_by_construction(seed: int, block_dim: int):
     rng = np.random.default_rng(seed)
     samples = SampleSet(tuple(random_disk_points(rng, 3, rmax=0.7,
                                                  min_sep=0.15)))
-    grid = (INF, ExtendedPoint.disk(0.25), ExtendedPoint.disk(-0.3 + 0.2j))
+    grid = (INF, 0.25, -0.3 + 0.2j)
     n = len(samples) * block_dim
     blocks = np.stack([random_psd(rng, n) for _ in grid])
     base = ConeProblem(
@@ -346,8 +343,7 @@ def test_gns_bridge_identities():
         worst_gap = max(worst_gap,
                         gns.deficiency_matches_kernel(space, f_vals))
 
-        lam = ExtendedPoint.disk(0.6 * np.exp(2j * np.pi * rng.random())) \
-            if trial % 4 else INF
+        lam = 0.6 * np.exp(2j * np.pi * rng.random()) if trial % 4 else INF
         psi = kernels.test_fn(lam, x)
         d_mat = np.diag(np.repeat(psi, 2))
         margin = float(np.min(np.linalg.eigvalsh(

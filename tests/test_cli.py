@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from neilcone import cli, kernels
-from neilcone.kernels import ExtendedPoint
 from conftest import random_hermitian
 
 
@@ -38,8 +37,11 @@ def test_matrix_and_point_round_trip():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     assert np.array_equal(cli.decode_matrix(cli.encode_matrix(a)), a)
-    for p in (ExtendedPoint.infinity(), ExtendedPoint.disk(0.3 - 0.1j)):
+    for p in (np.inf, 0.3 - 0.1j):
         assert cli.decode_point(cli.encode_point(p)) == p
+    assert cli.encode_point(np.inf) == "inf"
+    with pytest.raises(ValueError, match="boundary"):
+        cli.decode_point([1.0, 0.0])
 
 
 def test_decode_complex_rejects_non_finite():
@@ -192,6 +194,8 @@ def test_overflowing_number_exits_one(tmp_path, capsys):
     ["counterexample", "--tol", "1e-3"],
     ["variety", "--grid", "10x32"],
     ["naimark", "--tol", "1e-3"],
+    ["noxy", "--grid", "2x3"],
+    ["variety", "--seed", "0"],
 ])
 def test_flags_nothing_reads_exit_one(argv):
     with pytest.raises(SystemExit) as exc:
@@ -207,6 +211,18 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     assert "unknown config key(s) for pick: angles, grid" in capsys.readouterr().err
     code, _ = run_raw_config(tmp_path, "variety", '{"angle": 90}')
     assert code == 1
+    for command, text in (("noxy", '{"grid": [2, 3]}'),
+                          ("variety", '{"seed": 0}')):
+        assert run_raw_config(tmp_path, command, text) == (1, None)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("pick", '{"nodes": 5, "targets": [0.0]}', "not iterable"),
+    ("variety", '{"tol": "abc"}', "tolerance must be a positive finite"),
+])
+def test_wrong_config_types_exit_one(tmp_path, capsys, command, text, message):
+    assert run_raw_config(tmp_path, command, text) == (1, None)
+    assert message in capsys.readouterr().err
 
 
 def test_tolerance_must_be_finite(tmp_path):
@@ -221,7 +237,7 @@ def test_tolerance_must_be_finite(tmp_path):
 def test_pick_feasible_emits_measure(tmp_path):
     lam = 0.25 * np.exp(2j * np.pi * 3 / 32)  # on the default grid
     nodes = (0.0, 0.5, -0.5, 0.3j)
-    w = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
+    w = kernels.test_fn(lam, np.array(nodes, dtype=complex))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "nodes": [cli.encode_complex(z) for z in nodes],
@@ -231,8 +247,7 @@ def test_pick_feasible_emits_measure(tmp_path):
     assert data["status"] == "feasible"
     assert data["residual"] <= 1e-7
     measure = cli.decode_measure(data["measure"])
-    finite = [p.point for p in measure.grid if not p.is_infinity]
-    assert min(abs(p - lam) for p in finite) <= 1e-9
+    assert np.min(np.abs(measure.grid - lam)) <= 1e-9
 
 
 def test_cone_restricted_infeasible_certificate(tmp_path):

@@ -23,26 +23,23 @@ from neilcone.cone import (
     recover_structure,
     validate_certificate,
     validation_grid,
-    _apply_coefs,
     _dual_polish,
+    _generator_data,
 )
 from neilcone.kernels import (
     DEFAULT_SAMPLES,
     DEFAULT_UNITARY,
-    ExtendedPoint,
     MatrixBlaschke,
     MatrixKernel,
     SampleSet,
 )
 from conftest import random_disk_points, random_psd
 
-INF = ExtendedPoint.infinity()
+INF = np.inf
 
 
 def small_grid():
-    return (INF, ExtendedPoint.disk(0.0), ExtendedPoint.disk(0.5),
-            ExtendedPoint.disk(-0.5), ExtendedPoint.disk(0.3j),
-            ExtendedPoint.disk(-0.3j))
+    return (INF, 0.0, 0.5, -0.5, 0.3j, -0.3j)
 
 
 def diagonal_problem():
@@ -73,7 +70,7 @@ def perturbed_problem(seed: int, block_dim: int = 1):
     rng = np.random.default_rng(seed)
     samples = SampleSet(tuple(random_disk_points(rng, 3, rmax=0.7,
                                                  min_sep=0.15)))
-    grid = (INF, ExtendedPoint.disk(0.25), ExtendedPoint.disk(-0.3 + 0.2j))
+    grid = (INF, 0.25, -0.3 + 0.2j)
     n = len(samples) * block_dim
     blocks = np.stack([random_psd(rng, n) for _ in grid])
     base = ConeProblem(
@@ -113,27 +110,27 @@ def perturbed_cert():
 def test_default_grid_shape():
     grid = default_grid()
     assert len(grid) == 321
-    assert grid[0].is_infinity
-    finite = [p.point for p in grid[1:]]
+    assert np.isinf(grid[0])
+    finite = grid[1:]
     assert len(set(finite)) == 320
-    assert all(0.0 < abs(z) < 1.0 for z in finite)
+    assert np.all((0.0 < np.abs(finite)) & (np.abs(finite) < 1.0))
 
 
 def test_validation_grid_density():
     grid = validation_grid(64, 128)
     assert len(grid) == 64 * 128 + 1
-    assert grid[0].is_infinity
-    assert max(abs(p.point) for p in grid[1:]) <= 0.999 + 1e-12
+    assert np.isinf(grid[0])
+    assert np.max(np.abs(grid[1:])) <= 0.999 + 1e-12
 
 
 def test_problem_requires_infinity_without_restriction():
     samples = SampleSet((0.3, -0.2))
     target = MatrixKernel(samples, 1, np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        ConeProblem(samples, 1, (ExtendedPoint.disk(0.1),), target)
+        ConeProblem(samples, 1, (0.1,), target)
     # A restriction may drop infinity deliberately.
-    ConeProblem(samples, 1, (ExtendedPoint.disk(0.1),), target,
-                generator_restriction=(ExtendedPoint.disk(0.1),))
+    ConeProblem(samples, 1, (0.1,), target,
+                generator_restriction=(0.1,))
 
 
 def test_problem_rejects_mismatched_target():
@@ -145,6 +142,18 @@ def test_problem_rejects_mismatched_target():
     with pytest.raises(ValueError):
         ConeProblem(samples, 3, (INF,),
                     MatrixKernel(samples, 1, np.eye(2, dtype=complex)))
+
+
+def test_problem_and_measure_reject_nan_parameters():
+    samples = SampleSet((0.3, -0.2))
+    target = MatrixKernel(samples, 1, np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="NaN"):
+        ConeProblem(samples, 1, (INF, complex(0.1, np.nan)), target)
+    with pytest.raises(ValueError, match="NaN"):
+        ConeProblem(samples, 1, (INF,), target,
+                    generator_restriction=(np.nan,))
+    with pytest.raises(ValueError, match="NaN"):
+        DiscreteMeasure((np.nan,), np.eye(2, dtype=complex)[None])
 
 
 def test_measure_rejects_indefinite_block():
@@ -177,7 +186,7 @@ def test_apply_generators_square_via_cube_weighting():
     f = rng.standard_normal(len(samples)) + 1j * rng.standard_normal(len(samples))
     s3 = kernels.szego(x[:, None] ** 3, x[None, :] ** 3)
     block = s3 * (f[:, None] * np.conj(f)[None, :])
-    grid = (ExtendedPoint.disk(0.0),)
+    grid = (0.0,)
     problem = ConeProblem(
         samples, 1, grid,
         MatrixKernel(samples, 1, f[:, None] * np.conj(f)[None, :]),
@@ -202,9 +211,8 @@ def test_closed_form_diagonal_witness_is_exact():
 
 def test_margins_of_identity_match_diagonal_formula():
     samples = DEFAULT_SAMPLES
-    pts = [INF] + [ExtendedPoint.disk(z)
-                   for z in random_disk_points(np.random.default_rng(5), 7)]
-    coefs = _apply_coefs(pts, samples, 1)
+    pts = [INF] + random_disk_points(np.random.default_rng(5), 7)
+    coefs = _generator_data(pts, samples, 1)[1]
     got = margins(np.eye(len(samples), dtype=complex), coefs)
     x = samples.array()
     for k, p in enumerate(pts):
@@ -220,7 +228,7 @@ def test_margins_of_identity_match_diagonal_formula():
 def test_primal_zero_target_feasible_with_zero_measure():
     samples = SampleSet((0.3, -0.4))
     target = MatrixKernel(samples, 1, np.zeros((2, 2), dtype=complex))
-    problem = ConeProblem(samples, 1, (INF, ExtendedPoint.disk(0.2)), target)
+    problem = ConeProblem(samples, 1, (INF, 0.2), target)
     got = primal_feasibility(problem)
     assert isinstance(got, Feasible)
     assert got.residual <= 1e-12
@@ -242,7 +250,7 @@ def test_primal_single_point_scalar_always_feasible():
     for w in (0.0, 0.7, -0.3 + 0.5j):
         target = MatrixKernel(
             samples, 1, np.array([[1.0 - abs(w) ** 2]], dtype=complex))
-        problem = ConeProblem(samples, 1, (INF, ExtendedPoint.disk(0.2)),
+        problem = ConeProblem(samples, 1, (INF, 0.2),
                               target)
         got = primal_feasibility(problem)
         assert isinstance(got, Feasible)
@@ -263,7 +271,7 @@ def restricted_infeasible_problem():
     samples = SampleSet((0.0, 0.4, -0.3 + 0.2j))
     target = MatrixKernel(samples, 1, -np.eye(3, dtype=complex))
     return ConeProblem(samples, 1, default_grid(), target,
-                       generator_restriction=(INF, ExtendedPoint.disk(0.0)))
+                       generator_restriction=(INF, 0.0))
 
 
 def test_primal_infeasible_stops_at_first_stall_check():
@@ -281,8 +289,8 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
     problem, _ = perturbed_problem(11)
     n = problem.dim
     sigma = problem.target.flat
-    conj_coefs = np.conj(_apply_coefs(problem.grid, problem.sample_set,
-                                      problem.block_dim))
+    conj_coefs = np.conj(_generator_data(problem.grid, problem.sample_set,
+                                         problem.block_dim)[1])
     # trace(W sigma) >= n * min_eig(sigma) for every PSD W of trace n.
     unreachable = 2.0 * n * float(np.min(np.linalg.eigvalsh(sigma))) - 1.0
     calls = []
@@ -303,7 +311,7 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
 def test_dual_zero_target_yields_none():
     samples = SampleSet((0.3, -0.4))
     target = MatrixKernel(samples, 1, np.zeros((2, 2), dtype=complex))
-    problem = ConeProblem(samples, 1, (INF, ExtendedPoint.disk(0.2)), target)
+    problem = ConeProblem(samples, 1, (INF, 0.2), target)
     assert dual_search(problem) is None
 
 
@@ -318,8 +326,8 @@ def test_dual_certificate_on_perturbed_target(perturbed_cert):
 
 def test_dual_certificate_margins_cover_problem_grid(perturbed_cert):
     problem, cert = perturbed_cert
-    coefs = _apply_coefs(list(problem.grid), problem.sample_set,
-                         problem.block_dim)
+    coefs = _generator_data(problem.grid, problem.sample_set,
+                            problem.block_dim)[1]
     assert float(np.min(margins(cert.w, coefs))) >= -1e-8
 
 
@@ -340,11 +348,10 @@ def test_dual_pairing_matches_adjoint_identity():
     # grid margins into soundness against every measure on the grid.
     rng = np.random.default_rng(21)
     samples = SampleSet(tuple(random_disk_points(rng, 4, min_sep=0.1)))
-    pts = [INF, ExtendedPoint.disk(0.3), ExtendedPoint.disk(-0.2j)]
+    pts = [INF, 0.3, -0.2j]
     n = len(samples)
     w = np.asarray(random_psd(rng, n), dtype=complex)
-    coefs = _apply_coefs(pts, samples, 1)
-    diags = np.stack([kernels.generator_diag(p, samples, 1) for p in pts])
+    diags, coefs = _generator_data(pts, samples, 1)
     for g, p in enumerate(pts):
         m = random_psd(rng, n)
         dg = np.diag(diags[g])
@@ -409,7 +416,7 @@ def test_validate_certificate_negative_for_negated_gram():
 
 def test_validate_certificate_explicit_grid(perturbed_cert):
     problem, cert = perturbed_cert
-    pts = [INF, ExtendedPoint.disk(0.25)]
+    pts = [INF, 0.25]
     report = validate_certificate(cert, problem, fine_grid=pts)
     assert report.grid_size == 2
     assert report.worst_margin >= -1e-8
@@ -428,7 +435,7 @@ def test_pick_single_node_feasible():
 def test_pick_tautological_test_function_values():
     lam = 0.25 * np.exp(2j * np.pi * 3 / 32)  # lies on the default grid
     nodes = (0.0, 0.5, -0.5, 0.3j)
-    w = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
+    w = kernels.test_fn(lam, np.array(nodes, dtype=complex))
     got = pick_check(nodes, w)
     assert got.status == "feasible"
 
@@ -438,12 +445,12 @@ def test_pick_on_grid_target_keeps_the_scanned_atom():
     # checked measure is the answer, on the one-point subgrid {lam}.
     lam = 0.45 * np.exp(2j * np.pi * 9 / 32)  # ring 4 of the default grid
     nodes = (0.0, 0.5, -0.5, 0.3j)
-    w = kernels.test_fn(ExtendedPoint.disk(lam), np.array(nodes, dtype=complex))
+    w = kernels.test_fn(lam, np.array(nodes, dtype=complex))
     got = pick_check(nodes, w)
     assert got.status == "feasible"
     assert got.residual <= PrimalOptions().tol
     assert len(got.measure.grid) == 1
-    assert abs(got.measure.grid[0].point - lam) <= 1e-12
+    assert abs(got.measure.grid[0] - lam) <= 1e-12
 
 
 def test_pick_two_nodes_against_classical_oracle():
@@ -478,25 +485,25 @@ def test_recover_structure_zero_measure_is_empty():
 
 def test_recover_structure_infinity_only():
     samples = SampleSet((0.3, -0.4))
-    grid = (INF, ExtendedPoint.disk(0.2))
+    grid = (INF, 0.2)
     target = MatrixKernel(samples, 1, np.eye(2, dtype=complex))
     problem = ConeProblem(samples, 1, grid, target)
     blocks = np.zeros((2, 2, 2), dtype=complex)
     blocks[0] = np.eye(2)
     report = recover_structure(DiscreteMeasure(grid, blocks), problem)
     assert len(report.clusters) == 1
-    assert report.clusters[0].center.is_infinity
+    assert np.isinf(report.clusters[0].center)
 
 
 def test_recover_structure_diagonal_witness_clusters():
     problem, witness = diagonal_problem()
     report = recover_structure(witness, problem)
     assert len(report.clusters) == 2
-    centers = sorted((c.center.point for c in report.clusters),
+    centers = sorted((c.center for c in report.clusters),
                      key=lambda z: z.real)
     assert centers[0] == pytest.approx(-0.5)
     assert centers[1] == pytest.approx(0.5)
-    by_center = {round(c.center.point.real, 3): c for c in report.clusters}
+    by_center = {round(c.center.real, 3): c for c in report.clusters}
     e1 = np.zeros((2, 2), dtype=complex)
     e1[0, 0] = 1.0
     e2 = np.zeros((2, 2), dtype=complex)
@@ -511,7 +518,7 @@ def test_recover_structure_on_computed_diagonal_measure(diagonal, diagonal_prima
     got = diagonal_primal
     assert isinstance(got, Feasible)
     report = recover_structure(got.measure, problem)
-    centers = [c.center.point for c in report.clusters
-               if not c.center.is_infinity]
+    centers = [c.center for c in report.clusters
+               if not np.isinf(c.center)]
     assert any(abs(c - 0.5) < 0.05 for c in centers)
     assert any(abs(c + 0.5) < 0.05 for c in centers)

@@ -6,7 +6,7 @@ import pytest
 from neilcone import gns, kernels, linalg
 from neilcone.cone import ConeProblem, default_grid, dual_search
 from neilcone.gns import amplified_deficiency, build_gns, build_noxy, mult_operator, rep_norm
-from neilcone.kernels import DEFAULT_SAMPLES, ExtendedPoint
+from neilcone.kernels import DEFAULT_SAMPLES
 from conftest import random_psd
 
 SAMPLES = DEFAULT_SAMPLES
@@ -156,7 +156,7 @@ def test_certificate_norm_bridge():
     # Positivity of W - D* W D on the carrier is the same statement as the
     # multiplier being a contraction; both sides are computed independently.
     rng = np.random.default_rng(7)
-    lam = ExtendedPoint.disk(0.3 - 0.2j)
+    lam = 0.3 - 0.2j
     psi = kernels.test_fn(lam, SAMPLES.array())
     d_mat = np.diag(psi)
     checked_pos = checked_neg = 0
@@ -205,7 +205,7 @@ def test_deficiency_matches_kernel_pairing():
 
 def test_noxy_identity_gram_is_diagonal_and_tame():
     x_vals = SAMPLES.array()
-    witness = kernels.test_fn(ExtendedPoint.disk(0.4), x_vals)
+    witness = kernels.test_fn(0.4, x_vals)
     x, y, report = build_noxy(SAMPLES, np.eye(N), witness)
     off = x - np.diag(np.diagonal(x))
     assert np.max(np.abs(off)) < 1e-14
@@ -220,13 +220,12 @@ def test_noxy_identity_gram_is_diagonal_and_tame():
 
 @pytest.fixture(scope="module")
 def restricted_certificate():
-    mu = ExtendedPoint.disk(0.4)
+    mu = 0.4
     witness = kernels.test_fn(mu, SAMPLES.array())
     target = kernels.sigma_kernel(witness[:, None, None], SAMPLES)
     problem = ConeProblem(
         SAMPLES, 1, default_grid(), target,
-        generator_restriction=(ExtendedPoint.disk(0.0),
-                               ExtendedPoint.infinity()),
+        generator_restriction=(0.0, np.inf),
     )
     cert = dual_search(problem)
     assert cert is not None

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from neilcone import kernels, linalg
-from neilcone.kernels import ExtendedPoint, MatrixBlaschke, SampleSet
+from neilcone.cone import _generator_data, default_grid
+from neilcone.kernels import MatrixBlaschke, SampleSet, extended_points
 from conftest import random_disk_points, random_unitary
 
 BOUNDARY = np.exp(2j * np.pi * np.arange(256) / 256)
@@ -24,14 +25,12 @@ def test_blaschke_rejects_boundary_parameter():
 
 def test_test_fn_infinity_is_square():
     z = np.array([0.3, -0.2 + 0.1j, 0.9j])
-    assert np.allclose(kernels.test_fn(ExtendedPoint.infinity(), z), z * z, atol=0.0)
+    assert np.allclose(kernels.test_fn(np.inf, z), z * z, atol=0.0)
 
 
 def test_test_fn_bound_and_algebra_membership():
     rng = np.random.default_rng(8)
-    pts = [ExtendedPoint.infinity()] + [
-        ExtendedPoint.disk(z) for z in random_disk_points(rng, 6, rmax=0.98)
-    ]
+    pts = [np.inf] + random_disk_points(rng, 6, rmax=0.98)
     z = np.array(random_disk_points(rng, 40, rmax=0.999), dtype=complex)
     for p in pts:
         vals = kernels.test_fn(p, z)
@@ -40,6 +39,19 @@ def test_test_fn_bound_and_algebra_membership():
         h = 1e-5
         assert abs(kernels.test_fn(p, 0.0)) == 0.0
         assert abs(kernels.test_fn(p, h)) / h < 2 * h
+
+
+def test_test_fn_broadcast_matches_per_point_formula():
+    # One broadcast call over a grid gives, bit for bit, what the per-point
+    # formula z^2 b_lam(z) gives, and the infinite parameter warns of nothing.
+    z = kernels.DEFAULT_SAMPLES.array()
+    grid = default_grid()
+    with np.errstate(all="raise"):
+        got = kernels.test_fn(grid[:, None], z)
+    assert got.shape == (len(grid), len(z))
+    assert np.array_equal(got[0], z * z)
+    for g, lam in enumerate(grid[1:], start=1):
+        assert np.array_equal(got[g], z * z * kernels.blaschke(lam, z))
 
 
 def test_szego_identity_with_normalized_kernel():
@@ -123,12 +135,11 @@ def test_sigma_kernel_structure():
 
 def test_generator_diag_contractive_and_blockwise():
     samples = kernels.DEFAULT_SAMPLES
-    for p in (ExtendedPoint.infinity(), ExtendedPoint.disk(0.3 - 0.1j)):
-        diag = kernels.generator_diag(p, samples, block_dim=2)
-        assert diag.shape == (12,)
-        assert np.array_equal(diag[::2], diag[1::2])
-        bound = max(abs(z) ** 2 for z in samples)
-        assert np.max(np.abs(diag)) <= bound + 1e-15
+    diags, _ = _generator_data([np.inf, 0.3 - 0.1j], samples, block_dim=2)
+    assert diags.shape == (2, 12)
+    assert np.array_equal(diags[:, ::2], diags[:, 1::2])
+    bound = max(abs(z) ** 2 for z in samples)
+    assert np.max(np.abs(diags)) <= bound + 1e-15
 
 
 def _defect_oracle(mb: MatrixBlaschke, samples: SampleSet) -> np.ndarray:
@@ -187,12 +198,13 @@ def test_defect_kernel_diagonal_identity():
 
 
 def test_extended_point_validation():
-    assert ExtendedPoint.infinity().is_infinity
-    assert ExtendedPoint.disk(0.5).point == 0.5
-    with pytest.raises(ValueError):
-        ExtendedPoint.disk(1.0)
-    with pytest.raises(ValueError):
-        ExtendedPoint.disk(1.0 - 1e-12)
+    pts = extended_points((np.inf, 0.5))
+    assert pts.dtype == complex
+    assert np.isinf(pts[0]) and pts[1] == 0.5
+    for bad in ([1.0], [0.2, 1.0 - 1e-12], [np.nan], [complex(0.3, np.nan)],
+                [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            extended_points(bad)
 
 
 def test_sample_set_validation():
@@ -202,6 +214,9 @@ def test_sample_set_validation():
         SampleSet((1.0, 0.0))
     with pytest.raises(ValueError):
         SampleSet(())
+    for bad in (float("nan"), complex(0.1, float("nan")), complex(np.inf)):
+        with pytest.raises(ValueError):
+            SampleSet((0.0, bad))
     assert len(kernels.DEFAULT_SAMPLES) == 6
     assert kernels.DEFAULT_SAMPLES.points[0] == 0.0
 
