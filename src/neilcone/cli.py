@@ -25,16 +25,14 @@ import numpy as np
 
 from . import dilation, gns, kernels, linalg
 from .cone import (
+    PRIMAL_TOL,
     ConeProblem,
     DiscreteMeasure,
     DualCertificate,
-    DualOptions,
-    Feasible,
-    PrimalOptions,
+    decide,
     default_grid,
     dual_search,
-    pick_check,
-    primal_feasibility,
+    pick_problem,
     validate_certificate,
     validation_grid,
 )
@@ -177,6 +175,51 @@ def _emit(payload: dict, out_path, summary: str) -> None:
         sys.stdout.write(text)
 
 
+def _reaudit_fails(payload: dict, problem: ConeProblem, floor=None,
+                   radii: int = 64, angles: int = 128) -> bool:
+    """Decode the certificate from the emitted bytes and audit it again.
+
+    Fails when its worst margin is below ``floor`` (default: its own
+    ``-eps``).
+    """
+    cert = decode_certificate(json.loads(_dump(payload))["certificate"])
+    report = validate_certificate(cert, problem, radii=radii, angles=angles)
+    return not report.worst_margin >= (-cert.eps if floor is None else floor)
+
+
+def _emit_reaudit_failure(payload: dict, out_path) -> int:
+    payload["status"] = "inconclusive"
+    payload["reason"] = "serialized certificate failed re-validation"
+    _emit(payload, out_path, "inconclusive: re-validation failed")
+    return 3
+
+
+def _decide_and_emit(kind: str, cfg: dict, problem: ConeProblem,
+                     out_path) -> int:
+    """Run ``decide`` at the config's tolerance and emit the verdict.
+
+    Exit 0 feasible, 2 infeasible, 3 undecided or a failed re-audit.
+    """
+    result = decide(problem, cfg["tol"] or PRIMAL_TOL)
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": cfg,
+               "status": result.status}
+    if result.status == "feasible":
+        payload["measure"] = encode_measure(result.measure)
+        payload["residual"] = result.residual
+        _emit(payload, out_path, "feasible: residual=%.3e" % result.residual)
+        return 0
+    if result.status == "infeasible":
+        payload["certificate"] = encode_certificate(result.certificate)
+        if _reaudit_fails(payload, problem):
+            return _emit_reaudit_failure(payload, out_path)
+        _emit(payload, out_path,
+              "infeasible: violation=%.6e" % result.certificate.violation)
+        return 2
+    payload["residual"] = result.residual
+    _emit(payload, out_path, "undecided: residual=%.3e" % result.residual)
+    return 3
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -255,9 +298,8 @@ def cmd_counterexample(args) -> int:
     f_values = f_eval(mb, samples.array())
     target = sigma_kernel(f_values, samples)
     problem = ConeProblem(samples, 2, _generator_grid(cfg), target)
-    opts = DualOptions(validation_radii=int(cfg["validation_radii"]),
-                       validation_angles=int(cfg["validation_angles"]))
-    cert = dual_search(problem, opts)
+    radii, angles = int(cfg["validation_radii"]), int(cfg["validation_angles"])
+    cert = dual_search(problem, radii, angles)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "counterexample",
@@ -270,12 +312,9 @@ def cmd_counterexample(args) -> int:
         _emit(payload, args.out, "inconclusive: no separating functional found")
         return 3
 
-    report = validate_certificate(cert, problem,
-                                  radii=int(cfg["validation_radii"]),
-                                  angles=int(cfg["validation_angles"]))
+    report = validate_certificate(cert, problem, radii=radii, angles=angles)
     space = gns.build_gns(cert.w, samples, block_dim=2)
-    lam_grid = validation_grid(int(cfg["validation_radii"]),
-                               int(cfg["validation_angles"]))
+    lam_grid = validation_grid(radii, angles)
     values = test_fn(lam_grid[:, None], samples.array())
     norms = gns.rep_norm_sweep(space, values)
     t = gns.amplified_deficiency(space, f_values)
@@ -307,17 +346,8 @@ def cmd_counterexample(args) -> int:
         _emit(payload, args.out, "inconclusive: certificate gates failed %r" % checks)
         return 3
 
-    # re-validate the emitted bytes before claiming success
-    reloaded = json.loads(_dump(payload))
-    cert2 = decode_certificate(reloaded["certificate"])
-    report2 = validate_certificate(cert2, problem,
-                                   radii=int(cfg["validation_radii"]),
-                                   angles=int(cfg["validation_angles"]))
-    if report2.worst_margin < cfg["margin_floor"]:
-        payload["status"] = "inconclusive"
-        payload["reason"] = "serialized certificate failed re-validation"
-        _emit(payload, args.out, "inconclusive: re-validation failed")
-        return 3
+    if _reaudit_fails(payload, problem, cfg["margin_floor"], radii, angles):
+        return _emit_reaudit_failure(payload, args.out)
     _emit(payload, args.out,
           "certified: violation=%.6e margin=%.3e deficiency=%.6e max_norm=%.9f"
           % (cert.violation, report.worst_margin, t, float(np.max(norms))))
@@ -331,68 +361,29 @@ def cmd_pick(args) -> int:
         raise ValueError("pick needs config fields 'nodes' and 'targets'")
     nodes = [decode_complex(v) for v in cfg["nodes"]]
     targets = [decode_complex(v) for v in cfg["targets"]]
-    popts = PrimalOptions(tol=cfg["tol"]) if cfg["tol"] else None
-    result = pick_check(nodes, targets, restriction=_restriction(cfg),
-                        primal_opts=popts)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pick",
-        "config": cfg,
-        "status": result.status,
-    }
-    if result.status == "feasible":
-        payload["measure"] = encode_measure(result.measure)
-        payload["residual"] = result.residual
-        _emit(payload, args.out, "feasible: residual=%.3e" % result.residual)
-        return 0
-    if result.status == "infeasible":
-        payload["certificate"] = encode_certificate(result.certificate)
-        _emit(payload, args.out,
-              "infeasible: violation=%.6e" % result.certificate.violation)
-        return 2
-    payload["residual"] = result.residual
-    _emit(payload, args.out, "undecided: residual=%.3e" % result.residual)
-    return 3
+    problem = pick_problem(nodes, targets, _restriction(cfg))
+    return _decide_and_emit("pick", cfg, problem, args.out)
 
 
 def cmd_cone(args) -> int:
     cfg = _load_config(args, {"samples": None, "block_dim": 1, "target": None,
-                              "grid": [10, 32], "restriction": None,
+                              "grid": None, "restriction": None,
                               "tol": None})
     if cfg["target"] is None:
         raise ValueError("cone needs a config field 'target' (Hermitian lower "
                          "triangle of the flattened kernel)")
+    if cfg["grid"] is None:
+        cfg["grid"] = [10, 32]
+    elif cfg["restriction"] is not None:
+        raise ValueError("cone: a grid has no effect when a restriction is "
+                         "given")
     samples = _sample_set(cfg)
     d = int(cfg["block_dim"])
     flat = decode_hermitian(cfg["target"])
     target = MatrixKernel(samples, d, flat)
     problem = ConeProblem(samples, d, _generator_grid(cfg), target,
                           generator_restriction=_restriction(cfg))
-    popts = PrimalOptions(tol=cfg["tol"]) if cfg["tol"] else PrimalOptions()
-    primal = primal_feasibility(problem, popts)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cone",
-        "config": cfg,
-    }
-    if isinstance(primal, Feasible):
-        payload["status"] = "feasible"
-        payload["measure"] = encode_measure(primal.measure)
-        payload["residual"] = primal.residual
-        _emit(payload, args.out, "feasible: residual=%.3e" % primal.residual)
-        return 0
-    cert = dual_search(problem)
-    if cert is not None:
-        payload["status"] = "infeasible"
-        payload["certificate"] = encode_certificate(cert)
-        reloaded = decode_certificate(json.loads(_dump(payload))["certificate"])
-        validate_certificate(reloaded, problem)
-        _emit(payload, args.out, "infeasible: violation=%.6e" % cert.violation)
-        return 2
-    payload["status"] = "undecided"
-    payload["residual"] = primal.residual
-    _emit(payload, args.out, "undecided: residual=%.3e" % primal.residual)
-    return 3
+    return _decide_and_emit("cone", cfg, problem, args.out)
 
 
 def cmd_naimark(args) -> int:
@@ -495,8 +486,8 @@ def cmd_noxy(args) -> int:
     if not met:
         _emit(payload, args.out, "inconclusive: pair fails a gate")
         return 3
-    reloaded = decode_certificate(json.loads(_dump(payload))["certificate"])
-    validate_certificate(reloaded, problem)
+    if _reaudit_fails(payload, problem):
+        return _emit_reaudit_failure(payload, args.out)
     _emit(payload, args.out,
           "constructed: witness_norm=%.6f x_norm=%.6f y_norm=%.6f"
           % (report.witness_norm, report.x_norm, report.y_norm))

@@ -40,6 +40,32 @@ BLOCK_PSD_TOL = 1e-9     # PSD slack allowed on measure blocks
 MERGE_DISTANCE = 0.05    # grid points this close aggregate into one cluster
 DUST_TRACE = 1e-6        # clusters below this total trace are discarded
 
+# Primal search (Douglas-Rachford); see ``primal_feasibility``.
+PRIMAL_MAX_ITER = 20000  # iterations over all solves of one search
+STALL_WINDOW = 250       # stall rule window (see ``_dr_run``)
+STALL_RATIO = 0.98       # stall rule: less than 2% gain per window
+SUPPORT_THRESHOLD = 32   # larger grids get the screen and greedy support
+SCREEN_ITERS = 400       # full-grid screen locating the mass peaks
+SUPPORT_ATOMS = 8        # atoms grown greedily, at most
+SUPPORT_RADIUS = 0.1     # a new atom's peak lies this far from the others
+SCAN_RADIUS = 0.2        # candidates lie this close to the peak
+SCAN_LIMIT = 16          # candidates per atom, heaviest first
+SCAN_ITERS = 300         # solve length per candidate
+SUPPORT_ITERS = 4000     # solve length per grown support
+
+# Dual search (ADMM, Dykstra polish, identity mixing) settings.
+ADMM_ITERS = 3000
+ADMM_BETA = 0.3          # initial penalty, rebalanced every ADMM_CHECK
+ADMM_RELAX = 1.6         # over-relaxation
+ADMM_CHECK = 50
+ADMM_STALL = 1e-5        # relative violation change that ends ADMM
+POLISH_MARGIN = 1e-5     # margin floor the polish enforces on the work grid
+POLISH_ITERS = 2500
+DEEPEN_FACTOR = 1.6      # each deepening polish asks for this much more
+MAX_DEEPEN = 6
+MARGIN_FLOOR = 1e-5      # audit margin that identity mixing restores
+WORKING_LIMIT = 48       # generators in the thinned working set
+
 
 def _polar_grid(radii: np.ndarray, angles: int) -> np.ndarray:
     """Infinity, then ``angles`` equally spaced points on each radius."""
@@ -110,7 +136,6 @@ class DiscreteMeasure:
 
     grid: np.ndarray  # generator parameters, np.inf for z^2
     blocks: np.ndarray  # (G, n, n), each PSD
-    psd_tol: float = BLOCK_PSD_TOL
 
     def __post_init__(self):
         self.grid = extended_points(self.grid)
@@ -119,7 +144,7 @@ class DiscreteMeasure:
             raise ValueError("need one square block per grid point")
         floor = np.min(linalg.min_eig_batch(blocks))
         scale = 1.0 + float(np.max(np.abs(blocks), initial=0.0))
-        if floor < -self.psd_tol * scale:
+        if floor < -BLOCK_PSD_TOL * scale:
             raise ValueError(
                 "measure block has eigenvalue %.3e beyond the PSD tolerance" % floor
             )
@@ -177,42 +202,6 @@ class Undecided:
 
 
 @dataclass
-class PrimalOptions:
-    tol: float = PRIMAL_TOL
-    max_iter: int = 20000
-    psd_tol: float = BLOCK_PSD_TOL
-    stall_window: int = 250
-    stall_ratio: float = 0.98
-    screen_iters: int = 400
-    support_atoms: int = 8
-    support_radius: float = 0.1
-    support_iters: int = 4000
-    support_threshold: int = 32
-    scan_iters: int = 300
-    scan_radius: float = 0.2
-    scan_limit: int = 16
-
-
-@dataclass
-class DualOptions:
-    eps: float = GRID_EPS
-    delta: float = MIN_VIOLATION
-    admm_iters: int = 3000
-    admm_beta: float = 0.3
-    admm_relax: float = 1.6
-    admm_check: int = 50
-    admm_stall: float = 1e-5
-    polish_margin: float = 1e-5
-    polish_iters: int = 2500
-    deepen_factor: float = 1.6
-    max_deepen: int = 6
-    margin_floor: float = 1e-5
-    working_limit: int = 48
-    validation_radii: int = 64
-    validation_angles: int = 128
-
-
-@dataclass
 class ValidationReport:
     worst_margin: float
     worst_point: complex  # inf for the z^2 generator
@@ -237,7 +226,7 @@ class StructureReport:
 
 
 @dataclass
-class PickResult:
+class Decision:
     status: str  # "feasible" | "infeasible" | "undecided"
     measure: DiscreteMeasure | None = None
     certificate: DualCertificate | None = None
@@ -272,7 +261,7 @@ def margins(w: np.ndarray, coefs: np.ndarray, sweep_tol: float = 1e-14) -> np.nd
 
 
 def primal_feasibility(problem: ConeProblem,
-                       opts: PrimalOptions | None = None) -> Feasible | Undecided:
+                       tol: float = PRIMAL_TOL) -> Feasible | Undecided:
     """Search for a representing measure by alternating projections.
 
     Dykstra between the affine slab of exact representations and the product
@@ -287,16 +276,14 @@ def primal_feasibility(problem: ConeProblem,
     solve found it.  A solve that finds none stops at its stall rule or its
     budget (see ``_dr_run``).
     """
-    opts = opts or PrimalOptions()
     grid = problem.effective_grid
     coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
     k_hat = problem.target.flat
 
-    if len(grid) <= opts.support_threshold:
-        blocks, best, _z, it = _dr_run(coefs, k_hat, None, opts.max_iter, opts)
+    if len(grid) <= SUPPORT_THRESHOLD:
+        blocks, best, _z, it = _dr_run(coefs, k_hat, None, PRIMAL_MAX_ITER, tol)
         if blocks is not None:
-            return Feasible(DiscreteMeasure(grid, blocks, psd_tol=opts.psd_tol),
-                            best)
+            return Feasible(DiscreteMeasure(grid, blocks), best)
         return Undecided(best, it)
 
     # Large grids: the least-norm affine step spreads every correction over
@@ -309,20 +296,18 @@ def primal_feasibility(problem: ConeProblem,
     # problem, so a scan that already returns checked blocks ends the search
     # on its own subgrid.  Fall back to the full grid with the leftover
     # budget.
-    blocks, best, z, spent = _dr_run(coefs, k_hat, None, opts.screen_iters,
-                                     opts)
+    blocks, best, z, spent = _dr_run(coefs, k_hat, None, SCREEN_ITERS, tol)
     if blocks is not None:
-        return Feasible(DiscreteMeasure(grid, blocks, psd_tol=opts.psd_tol),
-                        best)
+        return Feasible(DiscreteMeasure(grid, blocks), best)
     screened = linalg.psd_project_batch(linalg.hermitian_part(z))
     mass = np.real(np.einsum("gii->g", screened))
     finite = np.isfinite(grid)
     inf_idx = np.flatnonzero(~finite)[:1].tolist()
     atoms: list[int] = []
-    while len(atoms) < opts.support_atoms:
+    while len(atoms) < SUPPORT_ATOMS:
         open_mass = np.where(finite, mass, -math.inf)
         for i in atoms:
-            open_mass[np.abs(grid - grid[i]) <= opts.support_radius] = -math.inf
+            open_mass[np.abs(grid - grid[i]) <= SUPPORT_RADIUS] = -math.inf
         peak = int(np.argmax(open_mass))
         if not math.isfinite(open_mass[peak]) or open_mass[peak] <= 0.0:
             break
@@ -332,50 +317,47 @@ def primal_feasibility(problem: ConeProblem,
         # collapses the residual within the scan budget.
         candidates = [
             i for i in np.flatnonzero(
-                np.abs(grid - grid[peak]) <= opts.scan_radius)
+                np.abs(grid - grid[peak]) <= SCAN_RADIUS)
             if i not in atoms
         ]
         candidates.sort(key=lambda i: -mass[i])
-        del candidates[opts.scan_limit:]
+        del candidates[SCAN_LIMIT:]
         if not candidates:
             break
         scans = []
         for i in candidates:
             blocks, res, _, it = _dr_run(coefs[atoms + [i]], k_hat, None,
-                                         opts.scan_iters, opts)
+                                         SCAN_ITERS, tol)
             spent += it
             if blocks is not None:
-                return Feasible(DiscreteMeasure(grid[atoms + [i]], blocks,
-                                                psd_tol=opts.psd_tol), res)
+                return Feasible(DiscreteMeasure(grid[atoms + [i]], blocks), res)
             scans.append((res, i))
         atoms.append(min(scans)[1])
         sel = inf_idx + atoms
         blocks, sub_best, _z, it = _dr_run(coefs[sel], k_hat, None,
-                                           opts.support_iters, opts)
+                                           SUPPORT_ITERS, tol)
         spent += it
         if blocks is not None:
-            return Feasible(DiscreteMeasure(grid[sel], blocks,
-                                            psd_tol=opts.psd_tol), sub_best)
-    remaining = opts.max_iter - spent
+            return Feasible(DiscreteMeasure(grid[sel], blocks), sub_best)
+    remaining = PRIMAL_MAX_ITER - spent
     if remaining > 0:
-        blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, opts)
+        blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, tol)
         spent += it
         best = min(best, full_best)
         if blocks is not None:
-            return Feasible(DiscreteMeasure(grid, blocks, psd_tol=opts.psd_tol),
-                            full_best)
+            return Feasible(DiscreteMeasure(grid, blocks), full_best)
     return Undecided(best, spent)
 
 
-def _dr_run(coefs, k_hat, z, max_iter, opts: PrimalOptions):
+def _dr_run(coefs, k_hat, z, max_iter, tol):
     """Douglas-Rachford on (affine slab, product PSD cone).
 
     The PSD-side iterate is always an honest measure candidate whose only
     defect is the affine residual, which the splitting drives to the
     distance between the sets (zero exactly when a measure exists).
-    Stops at the first iterate whose residual is within ``opts.tol`` and
-    whose blocks pass the PSD check, at the stall rule (checked from
-    iteration 2 * stall_window on) or after ``max_iter`` iterations.
+    Stops at the first iterate whose residual is within ``tol`` and whose
+    blocks pass the PSD check, at the stall rule (checked from iteration
+    2 * STALL_WINDOW on) or after ``max_iter`` iterations.
     Returns (feasible_blocks_or_None, best_residual, z_state, iterations).
     """
     conj_coefs = np.conj(coefs)
@@ -397,19 +379,19 @@ def _dr_run(coefs, k_hat, z, max_iter, opts: PrimalOptions):
         )
         best = min(best, residual)
         history.append(best)
-        if residual <= opts.tol:
+        if residual <= tol:
             floor = float(np.min(linalg.min_eig_batch(y)))
             scale = 1.0 + float(np.max(np.abs(y), initial=0.0))
-            if floor >= -opts.psd_tol * scale:
+            if floor >= -BLOCK_PSD_TOL * scale:
                 return y, residual, z, it
         # Stall rule: give up only when a whole window brought less than a
-        # (1 - stall_ratio) relative improvement; slow steady linear decay
+        # (1 - STALL_RATIO) relative improvement; slow steady linear decay
         # at that rate cannot reach tol within the iteration cap anyway.
-        # With the default 250-iteration window the first check falls at
-        # iteration 500; infeasible runs are flat to three digits by then.
+        # With the 250-iteration window the first check falls at iteration
+        # 500; infeasible runs are flat to three digits by then.
         if (
-            it >= 2 * opts.stall_window
-            and history[-1] > opts.stall_ratio * history[-opts.stall_window]
+            it >= 2 * STALL_WINDOW
+            and history[-1] > STALL_RATIO * history[-STALL_WINDOW]
         ):
             break
     return None, best, z, it
@@ -430,8 +412,7 @@ def _project_affine(w_tilde, ys, conj_coefs, denom_s, trace_target):
     return w, w[None, :, :] * conj_coefs
 
 
-def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor,
-                 opts: DualOptions):
+def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor):
     """Dykstra refinement: margins >= margin_floor, trace(W Sigma) <= v_target.
 
     Cycles three sets in product space: the affine slab tying Y_g to W with
@@ -456,7 +437,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
     corr_half = np.zeros_like(w)
     eye = np.eye(n)
     gap_hist: list[float] = []
-    for it in range(1, opts.polish_iters + 1):
+    for it in range(1, POLISH_ITERS + 1):
         w, ys = _project_affine(w, ys, conj_coefs, denom_s, trace_target)
         if it % 25 == 0:
             # The affine-projected W satisfies the equality constraints
@@ -522,7 +503,7 @@ def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate([inf_pts, finite[::stride]])
 
 
-def _admm_min_violation(sigma_hat, conj_coefs, n, opts: DualOptions):
+def _admm_min_violation(sigma_hat, conj_coefs, n):
     """Approximately minimize trace(W K) over the dual cone by ADMM.
 
     Splitting: W against slack copies S_0 = W and S_g = W - D_g* W D_g, all
@@ -533,8 +514,7 @@ def _admm_min_violation(sigma_hat, conj_coefs, n, opts: DualOptions):
     accuracy is all that is needed here: the result seeds a feasibility
     polish and an identity-mixing step that restore exact constraints.
     """
-    beta = opts.admm_beta
-    relax = opts.admm_relax
+    beta = ADMM_BETA
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
     inv_diag = 1.0 / np.real(np.diagonal(denom_s))
     inv_diag_sum = float(np.sum(inv_diag))
@@ -542,7 +522,7 @@ def _admm_min_violation(sigma_hat, conj_coefs, n, opts: DualOptions):
     s = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)
     u = np.zeros_like(s)
     last_viol = math.inf
-    for it in range(1, opts.admm_iters + 1):
+    for it in range(1, ADMM_ITERS + 1):
         sm = s - u
         rhs = sm[0] + np.einsum("gij,gij->ij", np.conj(conj_coefs), sm[1:])
         rhs -= sigma_hat / beta
@@ -550,13 +530,13 @@ def _admm_min_violation(sigma_hat, conj_coefs, n, opts: DualOptions):
         mu = (n - float(np.real(np.trace(w)))) / inv_diag_sum
         w = linalg.hermitian_part(w + np.diag(mu * inv_diag))
         ax = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)
-        ax_r = relax * ax + (1.0 - relax) * s
+        ax_r = ADMM_RELAX * ax + (1.0 - ADMM_RELAX) * s
         s_old = s
         s = linalg.psd_project_batch(ax_r + u)
         u = u + ax_r - s
-        if it % opts.admm_check == 0:
+        if it % ADMM_CHECK == 0:
             viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
-            if abs(viol - last_viol) < opts.admm_stall * max(1.0, abs(viol)):
+            if abs(viol - last_viol) < ADMM_STALL * max(1.0, abs(viol)):
                 break
             last_viol = viol
             primal_res = float(np.linalg.norm(ax - s))
@@ -594,8 +574,8 @@ def _mixed_with_identity(w, sigma_hat, audit_coefs, margin_identity,
     return mixed, vals, viol
 
 
-def dual_search(problem: ConeProblem,
-                opts: DualOptions | None = None) -> DualCertificate | None:
+def dual_search(problem: ConeProblem, radii: int = 64,
+                angles: int = 128) -> DualCertificate | None:
     """Look for a separating functional for the target.
 
     Stages: (1) ADMM approximately minimizes trace(W K) over the dual cone
@@ -607,9 +587,9 @@ def dual_search(problem: ConeProblem,
     as repeated polishes allow; (4) the final candidate is re-audited and
     re-mixed, and only a candidate passing every certificate invariant is
     returned.  Returns None when no certificate emerges; that outcome never
-    claims membership.
+    claims membership.  ``radii`` x ``angles`` is the dense audit grid of
+    an unrestricted problem (see ``validation_grid``).
     """
-    opts = opts or DualOptions()
     samples = problem.sample_set
     d = problem.block_dim
     n = problem.dim
@@ -622,15 +602,15 @@ def dual_search(problem: ConeProblem,
         # The problem grid (which holds infinity) joins the audit so
         # certificate margins cover the parameters measures can actually
         # charge, not just the dense rings.
-        dense = validation_grid(opts.validation_radii, opts.validation_angles)
+        dense = validation_grid(radii, angles)
         audit_grid = np.concatenate([audit_grid, dense[np.isfinite(dense)]])
     audit_diags, audit_coefs = _generator_data(audit_grid, samples, d)
     margin_identity = 1.0 - np.max(np.abs(audit_diags) ** 2, axis=1)
 
-    work_grid = _coarse_seed(problem.effective_grid, opts.working_limit)
+    work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
 
-    w = _admm_min_violation(sigma_hat, conj_coefs, n, opts)
+    w = _admm_min_violation(sigma_hat, conj_coefs, n)
     w = linalg.psd_project(w)
     tr = float(np.real(np.trace(w)))
     if tr < 1e-9 * n:
@@ -638,45 +618,37 @@ def dual_search(problem: ConeProblem,
     w *= n / tr
 
     w, audit_vals, viol = _mixed_with_identity(
-        w, sigma_hat, audit_coefs, margin_identity, opts.margin_floor
+        w, sigma_hat, audit_coefs, margin_identity, MARGIN_FLOOR
     )
-    if viol > -opts.delta:
+    if viol > -MIN_VIOLATION:
         return None
     best = (w, float(np.min(audit_vals)), viol)
 
     polished = _dual_polish(w, sigma_hat, conj_coefs, n, viol * 1.05,
-                            opts.polish_margin, opts)
+                            POLISH_MARGIN)
     if polished is not None:
         v_cur = float(np.real(np.sum(polished * np.conj(sigma_hat))))
         w_cur = polished
-        for _ in range(opts.max_deepen):
+        for _ in range(MAX_DEEPEN):
             deeper = _dual_polish(w_cur, sigma_hat, conj_coefs, n,
-                                  v_cur * opts.deepen_factor,
-                                  opts.polish_margin, opts)
+                                  v_cur * DEEPEN_FACTOR, POLISH_MARGIN)
             if deeper is None:
                 break
             w_cur = deeper
             v_cur = float(np.real(np.sum(w_cur * np.conj(sigma_hat))))
         w2, audit2, viol2 = _mixed_with_identity(
-            w_cur, sigma_hat, audit_coefs, margin_identity, opts.margin_floor
+            w_cur, sigma_hat, audit_coefs, margin_identity, MARGIN_FLOOR
         )
-        if viol2 <= -opts.delta and float(np.min(audit2)) >= -opts.eps:
+        if viol2 <= -MIN_VIOLATION and float(np.min(audit2)) >= -GRID_EPS:
             if viol2 < best[2]:
                 best = (w2, float(np.min(audit2)), viol2)
 
     w_fin, worst, violation = best
     scale = 1.0 + float(np.abs(w_fin).max())
-    if (worst < -opts.eps or violation > -opts.delta
-            or linalg.min_eig(w_fin) < -opts.eps * scale):
+    if (worst < -GRID_EPS or violation > -MIN_VIOLATION
+            or linalg.min_eig(w_fin) < -GRID_EPS * scale):
         return None
-    return DualCertificate(
-        w=w_fin,
-        grid_margin=worst,
-        violation=violation,
-        validation_grid_size=len(audit_grid),
-        eps=opts.eps,
-        delta=opts.delta,
-    )
+    return DualCertificate(w_fin, worst, violation, len(audit_grid))
 
 
 def validate_certificate(cert: DualCertificate, problem: ConeProblem,
@@ -711,34 +683,43 @@ def validate_certificate(cert: DualCertificate, problem: ConeProblem,
                             len(pts), vals)
 
 
-def pick_check(nodes, targets, restriction=None,
-               primal_opts: PrimalOptions | None = None,
-               dual_opts: DualOptions | None = None) -> PickResult:
-    """Scalar interpolation check: is 1 - w w* representable on the nodes?
+def decide(problem: ConeProblem, tol: float = PRIMAL_TOL) -> Decision:
+    """Three-way membership verdict: feasible, infeasible or undecided.
 
     Runs the primal search first and falls back to the dual; an affirmative
-    from either side is decisive, anything else is undecided.
+    from either side is decisive, anything else is undecided and carries
+    the primal residual.
     """
+    primal = primal_feasibility(problem, tol)
+    if isinstance(primal, Feasible):
+        return Decision("feasible", measure=primal.measure,
+                        residual=primal.residual)
+    cert = dual_search(problem)
+    if cert is not None:
+        return Decision("infeasible", certificate=cert)
+    return Decision("undecided", residual=primal.residual)
+
+
+def pick_problem(nodes, targets, restriction=None) -> ConeProblem:
+    """Scalar interpolation as membership: is 1 - w w* in the cone?"""
     samples = SampleSet(tuple(nodes))
     w = np.asarray(targets, dtype=complex)
     if w.shape != (len(samples),):
         raise ValueError("need exactly one target value per node")
     flat = 1.0 - w[:, None] * np.conj(w)[None, :]
-    problem = ConeProblem(
+    return ConeProblem(
         sample_set=samples,
         block_dim=1,
         grid=default_grid(),
         target=MatrixKernel(samples, 1, flat),
         generator_restriction=restriction,
     )
-    primal = primal_feasibility(problem, primal_opts)
-    if isinstance(primal, Feasible):
-        return PickResult("feasible", measure=primal.measure,
-                          residual=primal.residual)
-    cert = dual_search(problem, dual_opts)
-    if cert is not None:
-        return PickResult("infeasible", certificate=cert)
-    return PickResult("undecided", residual=primal.residual)
+
+
+def pick_check(nodes, targets, restriction=None,
+               tol: float = PRIMAL_TOL) -> Decision:
+    """``decide`` on the interpolation problem for the nodes and targets."""
+    return decide(pick_problem(nodes, targets, restriction), tol)
 
 
 def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,

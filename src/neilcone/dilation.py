@@ -28,6 +28,8 @@ def _as_square(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("%s must be a square matrix, got %r" % (name, m.shape))
+    if not np.isfinite(m).all():
+        raise ValueError("%s has non-finite entries" % name)
     return m
 
 

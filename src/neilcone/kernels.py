@@ -89,7 +89,7 @@ DEFAULT_UNITARY = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2
 
 def blaschke(lam: complex, z):
     """Single Blaschke factor (z - lam)/(1 - conj(lam) z)."""
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:  # also rejects NaN
         raise ValueError("Blaschke parameter must lie in the open disk")
     z = np.asarray(z, dtype=complex)
     return (z - lam) / (1.0 - np.conj(lam) * z)
@@ -118,7 +118,7 @@ def szego(x, y):
 
 def norm_szego(lam: complex, z):
     """Normalized Szego kernel sqrt(1-|lam|^2)/(1 - conj(lam) z)."""
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:  # also rejects NaN
         raise ValueError("kernel parameter must lie in the open disk")
     z = np.asarray(z, dtype=complex)
     return np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - np.conj(lam) * z)
@@ -208,6 +208,8 @@ class MatrixKernel:
         if flat.shape != (n, n):
             raise ValueError("flat storage must be %d x %d, got %r" % (n, n, flat.shape))
         self.flat = linalg.from_lower(flat)
+        if not np.isfinite(self.flat).all():
+            raise ValueError("kernel has non-finite entries")
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.block_dim

@@ -176,11 +176,14 @@ def herm_eig_batch(h, want_vectors: bool = True, sweep_cap: int = SWEEP_CAP,
 
     sweep_tol is the relative off-diagonal norm at which sweeping stops; the
     default is full precision.  Solver hot loops pass a looser value and
-    re-verify their final answer at the default.
+    re-verify their final answer at the default.  A stack with a NaN or an
+    infinite entry (an overflow upstream, say) raises ValueError.
     """
     work = from_lower(h)
     if work.ndim != 3 or work.shape[-1] != work.shape[-2]:
         raise ValueError("expected a (batch, n, n) stack, got %r" % (work.shape,))
+    if not np.isfinite(work).all():
+        raise ValueError("cannot decompose a matrix with non-finite entries")
     return _jacobi_batch(work, want_vectors, sweep_cap, off_target=sweep_tol)
 
 

@@ -19,7 +19,6 @@ from neilcone.cone import (
     ConeProblem,
     DiscreteMeasure,
     Feasible,
-    PrimalOptions,
     apply_generators,
     dual_search,
     primal_feasibility,
@@ -95,7 +94,7 @@ def test_diagonal_witness_and_structure():
     witness = DiscreteMeasure(grid, blocks)
     closed_residual = onorm(apply_generators(witness, problem).flat - target.flat)
 
-    primal = primal_feasibility(problem, PrimalOptions(tol=1e-9))
+    primal = primal_feasibility(problem, tol=1e-9)
     feasible = isinstance(primal, Feasible)
 
     structure_ok = False

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from neilcone import cli, kernels
+from neilcone import cli, cone, kernels
 from conftest import random_hermitian
 
 
@@ -186,6 +186,17 @@ def test_overflowing_number_exits_one(tmp_path, capsys):
     code, data = run_raw_config(
         tmp_path, "pick", '{"nodes": [1%s], "targets": [0.0]}' % ("0" * 400))
     assert (code, data) == (1, None)
+    # Finite entries whose products overflow reach the eigensolver as
+    # non-finite matrices, which it rejects.
+    huge = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    code, data = run_raw_config(
+        tmp_path, "variety", json.dumps({"s": huge, "t": huge}))
+    assert (code, data) == (1, None)
+    config = restricted_infeasible_config()
+    config["target"] = cli.encode_hermitian(1e308 * np.eye(3))
+    code, data = run_raw_config(tmp_path, "cone", json.dumps(config))
+    assert (code, data) == (1, None)
+    assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,6 +236,16 @@ def test_wrong_config_types_exit_one(tmp_path, capsys, command, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_cone_grid_with_restriction_exits_one(tmp_path, capsys):
+    config = restricted_infeasible_config()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["cone", "--config", str(cfg), "--grid", "2x3"]) == 1
+    assert "no effect" in capsys.readouterr().err
+    config["grid"] = [2, 3]
+    assert run_raw_config(tmp_path, "cone", json.dumps(config)) == (1, None)
+
+
 def test_tolerance_must_be_finite(tmp_path):
     assert cli.main(["variety", "--tol", "nan"]) == 1
     assert cli.main(["variety", "--tol", "inf"]) == 1
@@ -250,20 +271,59 @@ def test_pick_feasible_emits_measure(tmp_path):
     assert np.min(np.abs(measure.grid - lam)) <= 1e-9
 
 
-def test_cone_restricted_infeasible_certificate(tmp_path):
+def restricted_infeasible_config() -> dict:
+    """-I on three samples over {inf, 0}: certified infeasible."""
     samples = (0.0, 0.4, -0.3 + 0.2j)
-    n = len(samples)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "samples": [cli.encode_complex(z) for z in samples],
-        "block_dim": 1,
-        "target": cli.encode_hermitian(-np.eye(n)),
-        "restriction": ["inf", cli.encode_complex(0.0)]}))
-    code, data = run_cli(tmp_path, "cone", "--config", str(cfg))
+    return {"samples": [cli.encode_complex(z) for z in samples],
+            "block_dim": 1,
+            "target": cli.encode_hermitian(-np.eye(len(samples))),
+            "restriction": ["inf", cli.encode_complex(0.0)]}
+
+
+def test_cone_restricted_infeasible_certificate(tmp_path):
+    code, data = run_raw_config(tmp_path, "cone",
+                                json.dumps(restricted_infeasible_config()))
     assert code == 2
     assert data["status"] == "infeasible"
     cert = cli.decode_certificate(data["certificate"])
     assert cert.violation <= -1e-4
+
+
+def test_cone_failed_reaudit_is_inconclusive(tmp_path, monkeypatch):
+    audit = cli.validate_certificate
+
+    def failing(cert, problem, **kwargs):
+        report = audit(cert, problem, **kwargs)
+        report.worst_margin = -1.0
+        return report
+
+    monkeypatch.setattr(cli, "validate_certificate", failing)
+    code, data = run_raw_config(tmp_path, "cone",
+                                json.dumps(restricted_infeasible_config()))
+    assert code == 3
+    assert data["status"] == "inconclusive"
+    assert data["reason"] == "serialized certificate failed re-validation"
+
+
+@pytest.mark.parametrize("command", ["pick", "cone"])
+def test_tol_reaches_the_primal_search(tmp_path, monkeypatch, command):
+    seen = []
+
+    def primal(problem, tol=cone.PRIMAL_TOL):
+        seen.append(tol)
+        return cone.Undecided(1.0, 0)
+
+    monkeypatch.setattr(cone, "primal_feasibility", primal)
+    monkeypatch.setattr(cone, "dual_search", lambda problem: None)
+    config = {"nodes": [0.0, 0.5], "targets": [0.0, 0.1]}
+    if command == "cone":
+        config = restricted_infeasible_config()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(tmp_path, command, "--config", str(cfg))[0] == 3
+    assert run_cli(tmp_path, command, "--config", str(cfg),
+                   "--tol", "1e-5")[0] == 3
+    assert seen == [cone.PRIMAL_TOL, 1e-5]
 
 
 def test_counterexample_rejects_equal_zeros(tmp_path):

@@ -5,14 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neilcone import kernels, linalg
+from neilcone import cone, kernels, linalg
 from neilcone.cone import (
+    POLISH_MARGIN,
+    PRIMAL_TOL,
+    STALL_WINDOW,
     ConeProblem,
     DiscreteMeasure,
     DualCertificate,
-    DualOptions,
     Feasible,
-    PrimalOptions,
     Undecided,
     apply_generators,
     default_grid,
@@ -257,9 +258,10 @@ def test_primal_single_point_scalar_always_feasible():
         assert got.residual <= 1e-7
 
 
-def test_primal_iteration_cap_reports_undecided():
+def test_primal_iteration_cap_reports_undecided(monkeypatch):
     problem, _ = diagonal_problem()
-    got = primal_feasibility(problem, PrimalOptions(max_iter=3))
+    monkeypatch.setattr(cone, "PRIMAL_MAX_ITER", 3)
+    got = primal_feasibility(problem)
     assert isinstance(got, Undecided)
     assert got.residual > 0.0
     assert got.iterations <= 3
@@ -275,10 +277,9 @@ def restricted_infeasible_problem():
 
 
 def test_primal_infeasible_stops_at_first_stall_check():
-    opts = PrimalOptions()
-    got = primal_feasibility(restricted_infeasible_problem(), opts)
+    got = primal_feasibility(restricted_infeasible_problem())
     assert isinstance(got, Undecided)
-    assert got.iterations == 2 * opts.stall_window
+    assert got.iterations == 2 * STALL_WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +302,8 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
         return project(stack)
 
     monkeypatch.setattr(linalg, "psd_project_batch", counting)
-    opts = DualOptions()
     got = _dual_polish(np.eye(n, dtype=complex), sigma, conj_coefs, n,
-                       unreachable, opts.polish_margin, opts)
+                       unreachable, POLISH_MARGIN)
     assert got is None
     assert len(calls) == 600
 
@@ -448,7 +448,7 @@ def test_pick_on_grid_target_keeps_the_scanned_atom():
     w = kernels.test_fn(lam, np.array(nodes, dtype=complex))
     got = pick_check(nodes, w)
     assert got.status == "feasible"
-    assert got.residual <= PrimalOptions().tol
+    assert got.residual <= PRIMAL_TOL
     assert len(got.measure.grid) == 1
     assert abs(got.measure.grid[0] - lam) <= 1e-12
 

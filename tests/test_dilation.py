@@ -99,6 +99,8 @@ def test_naimark_rejects_bad_sum():
     good = (np.array([[0.5]], dtype=complex), np.array([[0.5]], dtype=complex))
     with pytest.raises(ValueError, match="deviates from the identity"):
         NaimarkInput(bad, good)
+    with pytest.raises(ValueError, match="non-finite"):
+        NaimarkInput((np.array([[np.nan]]), good[1]), good)
 
 
 def test_naimark_rejects_rank_two_summand():
@@ -194,6 +196,9 @@ def test_pair_validation():
         VarietyPair(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="radius"):
         VarietyPair(1.5 * np.eye(2), 1.5 * np.eye(2))
+    nan = np.array([[np.nan]])
+    with pytest.raises(ValueError, match="non-finite"):
+        VarietyPair(nan, nan)
 
 
 def test_sweep_constant_for_equal_pair():

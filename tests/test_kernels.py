@@ -21,6 +21,9 @@ def test_blaschke_unimodular_on_boundary_and_zero_at_parameter():
 def test_blaschke_rejects_boundary_parameter():
     with pytest.raises(ValueError):
         kernels.blaschke(1.0, 0.5)
+    for fn in (kernels.blaschke, kernels.norm_szego):
+        with pytest.raises(ValueError):
+            fn(float("nan"), 0.5)
 
 
 def test_test_fn_infinity_is_square():
@@ -228,3 +231,14 @@ def test_matrix_blaschke_validation():
         MatrixBlaschke(0.5, 0.5)
     with pytest.raises(ValueError):
         MatrixBlaschke(0.5, -0.5, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError):
+        MatrixBlaschke(0.5, -0.5, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_matrix_kernel_rejects_non_finite_entries():
+    samples = SampleSet((0.3, -0.2))
+    for bad in (np.nan, np.inf):
+        flat = np.eye(2, dtype=complex)
+        flat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kernels.MatrixKernel(samples, 1, flat)

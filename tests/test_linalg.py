@@ -153,6 +153,16 @@ def test_spectral_radius_cases():
     assert abs(linalg.spectral_radius(a) - 0.5) < 1e-8
 
 
+def test_herm_eig_rejects_non_finite_stack():
+    for bad in (np.nan, np.inf):
+        h = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
+        h[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.herm_eig_batch(h)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.psd_project_batch(h)
+
+
 def test_from_lower_builds_hermitian():
     a = np.array([[1.0 + 2.0j, 9.0], [3.0 - 4.0j, 5.0 + 6.0j]])
     h = linalg.from_lower(a)
