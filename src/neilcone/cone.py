@@ -39,6 +39,7 @@ PRIMAL_TOL = 1e-7        # residual at which a measure counts as exact
 BLOCK_PSD_TOL = 1e-9     # PSD slack allowed on measure blocks
 MERGE_DISTANCE = 0.05    # grid points this close aggregate into one cluster
 DUST_TRACE = 1e-6        # clusters below this total trace are discarded
+AUDIT_RADIUS = 0.999     # outermost ring of the dense audit grid
 
 # Primal search (Douglas-Rachford); see ``primal_feasibility``.
 PRIMAL_MAX_ITER = 20000  # iterations over all solves of one search
@@ -82,10 +83,9 @@ def default_grid(radii: int = 10, angles: int = 32) -> np.ndarray:
     return _polar_grid((np.arange(radii) + 0.5) / radii, angles)
 
 
-def validation_grid(radii: int = 64, angles: int = 128,
-                    rmax: float = 0.999) -> np.ndarray:
+def validation_grid(radii: int = 64, angles: int = 128) -> np.ndarray:
     """Dense audit grid reaching almost to the boundary, plus infinity."""
-    return _polar_grid(rmax * (np.arange(radii) + 1.0) / radii, angles)
+    return _polar_grid(AUDIT_RADIUS * (np.arange(radii) + 1.0) / radii, angles)
 
 
 @dataclass
@@ -161,7 +161,7 @@ class DualCertificate:
     ``grid_margin`` is the worst min-eigenvalue of W - D* W D over the
     validation grid the search finished on; ``violation`` is trace(W K).
     W is normalized to trace n and must itself stay PSD up to slack, since
-    squares lie in the cone.
+    squares lie in the cone.  Every gate is written so that NaN fails it.
     """
 
     w: np.ndarray
@@ -174,18 +174,23 @@ class DualCertificate:
     def __post_init__(self):
         self.w = linalg.from_lower(np.asarray(self.w, dtype=complex))
         n = self.w.shape[0]
-        if abs(float(np.real(np.trace(self.w))) - n) > 1e-6 * n:
+        if not abs(float(np.real(np.trace(self.w))) - n) <= 1e-6 * n:
             raise ValueError("certificate is not normalized to trace n")
-        if self.grid_margin < -self.eps:
+        numbers = (self.grid_margin, self.violation, self.eps, self.delta)
+        if not (all(map(math.isfinite, numbers))
+                and min(self.eps, self.delta) > 0.0):
+            raise ValueError("certificate numbers must be finite, eps and "
+                             "delta positive")
+        if not self.grid_margin >= -self.eps:
             raise ValueError(
                 "certificate margin %.3e dips below -%.1e" % (self.grid_margin, self.eps)
             )
-        if self.violation > -self.delta:
+        if not self.violation <= -self.delta:
             raise ValueError(
                 "certificate violation %.3e does not clear -%.1e"
                 % (self.violation, self.delta)
             )
-        if linalg.min_eig(self.w) < -self.eps * max(1.0, float(np.abs(self.w).max())):
+        if not linalg.min_eig(self.w) >= -self.eps * max(1.0, float(np.abs(self.w).max())):
             raise ValueError("certificate is not PSD within tolerance")
 
 
@@ -254,10 +259,10 @@ def apply_generators(measure: DiscreteMeasure, problem: ConeProblem) -> MatrixKe
     return MatrixKernel(problem.sample_set, problem.block_dim, flat)
 
 
-def margins(w: np.ndarray, coefs: np.ndarray, sweep_tol: float = 1e-14) -> np.ndarray:
+def margins(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """min_eig(W - D_g* W D_g) for every generator, as one batched solve."""
     stack = w[None, :, :] * np.conj(coefs)
-    return linalg.herm_eigvals_batch(stack, sweep_tol=sweep_tol)[:, 0]
+    return linalg.herm_eigvals_batch(stack)[:, 0]
 
 
 def primal_feasibility(problem: ConeProblem,
@@ -445,7 +450,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
             # usable fractions of the requested floors.
             viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
             if viol <= v_target + 0.1 * abs(v_target):
-                mins = margins(w, np.conj(conj_coefs), sweep_tol=1e-11)
+                mins = margins(w, np.conj(conj_coefs))
                 scale = 1.0 + float(np.abs(w).max())
                 if (
                     float(np.min(mins)) >= 0.25 * margin_floor
@@ -482,7 +487,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
                 return None  # plateau: the requested violation is unreachable
     w, ys = _project_affine(w, ys, conj_coefs, denom_s, trace_target)
     viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
-    mins = margins(w, np.conj(conj_coefs), sweep_tol=1e-11)
+    mins = margins(w, np.conj(conj_coefs))
     if viol <= v_target + 0.1 * abs(v_target) and float(np.min(mins)) >= 0.0:
         return linalg.from_lower(w)
     return None
@@ -620,7 +625,7 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     w, audit_vals, viol = _mixed_with_identity(
         w, sigma_hat, audit_coefs, margin_identity, MARGIN_FLOOR
     )
-    if viol > -MIN_VIOLATION:
+    if not viol <= -MIN_VIOLATION:
         return None
     best = (w, float(np.min(audit_vals)), viol)
 
@@ -645,8 +650,8 @@ def dual_search(problem: ConeProblem, radii: int = 64,
 
     w_fin, worst, violation = best
     scale = 1.0 + float(np.abs(w_fin).max())
-    if (worst < -GRID_EPS or violation > -MIN_VIOLATION
-            or linalg.min_eig(w_fin) < -GRID_EPS * scale):
+    if not (worst >= -GRID_EPS and violation <= -MIN_VIOLATION
+            and linalg.min_eig(w_fin) >= -GRID_EPS * scale):
         return None
     return DualCertificate(w_fin, worst, violation, len(audit_grid))
 
@@ -722,21 +727,20 @@ def pick_check(nodes, targets, restriction=None,
     return decide(pick_problem(nodes, targets, restriction), tol)
 
 
-def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
-                      merge_distance: float = MERGE_DISTANCE,
-                      dust: float = DUST_TRACE) -> StructureReport:
+def recover_structure(measure: DiscreteMeasure,
+                      problem: ConeProblem) -> StructureReport:
     """Cluster a measure's support and summarize the aggregated weights.
 
-    Grid points carrying mass merge greedily when within ``merge_distance``
-    in the disk (infinity only merges with itself, and its cluster's center
-    is inf); clusters below ``dust``
-    total trace are dropped.  For each cluster the report aggregates the
-    full weight matrix and, when 0 is a sample point, the block at (0, 0),
-    whose eigenvalues expose rank-one projection structure.  When exactly
-    two clusters survive, ``projection_deviation`` measures how far the two
-    zero-blocks are from complementary projections: the largest of each
-    block's distance from its own square (idempotency defect) and the
-    deviation of their sum from the identity.
+    Grid points carrying mass merge greedily when within MERGE_DISTANCE in
+    the disk (infinity only merges with itself, and its cluster's center is
+    inf); clusters below DUST_TRACE total trace are dropped.  For each
+    cluster the report aggregates the full weight matrix and, when 0 is a
+    sample point, the block at (0, 0), whose eigenvalues expose rank-one
+    projection structure.  When exactly two clusters survive,
+    ``projection_deviation`` measures how far the two zero-blocks are from
+    complementary projections: the largest of each block's distance from
+    its own square (idempotency defect) and the deviation of their sum from
+    the identity.
     """
     tr = np.real(np.einsum("gii->g", measure.blocks))
     order = np.argsort(-tr, kind="stable")
@@ -751,7 +755,7 @@ def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
         for c, (ctr, mass) in enumerate(zip(centers, masses)):
             if np.isinf(ctr) != at_inf:
                 continue
-            if at_inf or abs(key - ctr) <= merge_distance:
+            if at_inf or abs(key - ctr) <= MERGE_DISTANCE:
                 members[c].append(idx)
                 new_mass = mass + tr[idx]
                 if not at_inf:
@@ -771,7 +775,7 @@ def recover_structure(measure: DiscreteMeasure, problem: ConeProblem,
 
     clusters: list[Cluster] = []
     for ctr, mem, mass in zip(centers, members, masses):
-        if mass < dust:
+        if mass < DUST_TRACE:
             continue
         weight = np.sum(measure.blocks[mem], axis=0)
         zb = None

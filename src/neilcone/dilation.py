@@ -306,6 +306,7 @@ class VarietyVerdict:
     max_norm: float
     witness: complex
     message: str
+    sweep: VarietySweep = field(repr=False)
 
 
 def variety_verdict(
@@ -317,19 +318,14 @@ def variety_verdict(
 
     The sweep bound is the whole criterion: staying within 1 + tol on the
     mixing circle is equivalent to the existence of the unitary extension,
-    and a crossing hands back the witnessing mixing coefficient.
+    and a crossing hands back the witnessing mixing coefficient.  The
+    verdict carries the sweep it was read from.
     """
     sweep = variety_check(pair, angle_samples)
-    if sweep.max_norm <= 1.0 + tol:
-        return VarietyVerdict(
-            True, sweep.max_norm, sweep.witness, "dilation exists"
-        )
-    return VarietyVerdict(
-        False,
-        sweep.max_norm,
-        sweep.witness,
-        "norm %.9f exceeds 1 at lambda = %s" % (sweep.max_norm, sweep.witness),
-    )
+    passed = sweep.max_norm <= 1.0 + tol
+    message = "dilation exists" if passed else (
+        "norm %.9f exceeds 1 at lambda = %s" % (sweep.max_norm, sweep.witness))
+    return VarietyVerdict(passed, sweep.max_norm, sweep.witness, message, sweep)
 
 
 def variety_extend(hplus, hminus, z: complex, w: complex):

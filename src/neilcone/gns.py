@@ -21,11 +21,13 @@ import numpy as np
 from . import linalg
 from .kernels import SampleSet, sigma_kernel
 
-#: Relative eigenvalue cutoff separating the quotient from the null space.
-NULL_TOL = 1e-9
-
 #: Multiplication must leak at most this much out of the carrier subspace.
 WELLDEF_TOL = 1e-6
+
+#: Commuting-pair gates: contraction norm slack and relation residual
+#: (XY = YX, X^3 = Y^2), and the excess the witness norm must show.
+PAIR_TOL = 1e-8
+WITNESS_EXCESS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class GnsSpace:
     factor: np.ndarray
     eigs: np.ndarray
     rank: int
-    null_tol: float
 
     @property
     def dim(self) -> int:
@@ -70,12 +71,12 @@ class RepOperator:
     welldef_residual: float
 
 
-def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1,
-              null_tol: float = NULL_TOL) -> GnsSpace:
+def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1) -> GnsSpace:
     """Quotient the stacked value space by the null vectors of ``w``.
 
-    ``w`` must be positive semidefinite up to ``null_tol`` relative to its
-    top eigenvalue; an indefinite matrix is rejected with the offending
+    ``w`` must be positive semidefinite up to ``linalg.RANK_TOL`` relative to
+    its top eigenvalue, the cutoff that also separates the quotient from the
+    null space; an indefinite matrix is rejected with the offending
     eigenvalue named.  Coordinates come from the spectral factorization
     rather than Cholesky because certificate Grams are often rank
     deficient by design.
@@ -87,7 +88,7 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1,
             "Gram matrix is %r but %d samples at block dimension %d need "
             "(%d, %d)" % (w.shape, len(samples), block_dim, n, n)
         )
-    factor = linalg.rank_factor(w, tol=null_tol)
+    factor = linalg.rank_factor(w)
     eigs = np.real(np.sum(np.abs(factor) ** 2, axis=0))
     return GnsSpace(
         sample_set=samples,
@@ -96,7 +97,6 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1,
         factor=factor,
         eigs=eigs,
         rank=factor.shape[1],
-        null_tol=null_tol,
     )
 
 
@@ -214,18 +214,17 @@ class CommutingPairReport:
     witness_norm: float
     rank: int
 
-    def contractive(self, tol: float = 1e-8) -> bool:
-        return self.x_norm <= 1.0 + tol and self.y_norm <= 1.0 + tol
+    def contractive(self) -> bool:
+        return self.x_norm <= 1.0 + PAIR_TOL and self.y_norm <= 1.0 + PAIR_TOL
 
-    def relations_hold(self, tol: float = 1e-8) -> bool:
-        return self.commutator_norm <= tol and self.relation_gap <= tol
+    def relations_hold(self) -> bool:
+        return self.commutator_norm <= PAIR_TOL and self.relation_gap <= PAIR_TOL
 
-    def norm_violated(self, delta: float = 1e-3) -> bool:
-        return self.witness_norm >= 1.0 + delta
+    def norm_violated(self) -> bool:
+        return self.witness_norm >= 1.0 + WITNESS_EXCESS
 
 
-def build_noxy(samples: SampleSet, w: np.ndarray, witness_values,
-               null_tol: float = NULL_TOL):
+def build_noxy(samples: SampleSet, w: np.ndarray, witness_values):
     """Commuting contractions X, Y with X^3 = Y^2 from a two-generator Gram.
 
     ``w`` should be positive for the squaring and cubing generators alone
@@ -236,7 +235,7 @@ def build_noxy(samples: SampleSet, w: np.ndarray, witness_values,
     when the functional separates the witness's defect kernel from the
     restricted cone.  Returns (X, Y, report).
     """
-    space = build_gns(w, samples, block_dim=1, null_tol=null_tol)
+    space = build_gns(w, samples, block_dim=1)
     pts = samples.array()
     x_op = mult_operator(space, pts ** 2)
     y_op = mult_operator(space, pts ** 3)

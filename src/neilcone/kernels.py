@@ -177,8 +177,9 @@ def f_eval(mb: MatrixBlaschke, z) -> np.ndarray:
     return (z * z)[..., None, None] * phi_eval(mb, z)
 
 
-def diagonality_test(mb: MatrixBlaschke, tol: float = DIAGONALITY_TOL) -> bool:
-    """True when the mixing matrix is diagonal or antidiagonal within tol.
+def diagonality_test(mb: MatrixBlaschke) -> bool:
+    """True when the mixing matrix is diagonal or antidiagonal within
+    DIAGONALITY_TOL.
 
     Either pattern makes the product a diagonal inner function up to a
     permutation, which is the degenerate case the membership argument
@@ -187,7 +188,7 @@ def diagonality_test(mb: MatrixBlaschke, tol: float = DIAGONALITY_TOL) -> bool:
     u = np.abs(mb.unitary)
     off = max(u[0, 1], u[1, 0])
     dia = max(u[0, 0], u[1, 1])
-    return bool(off < tol or dia < tol)
+    return bool(off < DIAGONALITY_TOL or dia < DIAGONALITY_TOL)
 
 
 @dataclass

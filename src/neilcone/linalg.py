@@ -16,13 +16,11 @@ import math
 
 import numpy as np
 
-# Default tolerances.  Routines take these as parameters; the constants only
-# set defaults.
-EIG_RESIDUAL_TOL = 1e-11
+# Fixed settings; no routine takes a tolerance or cap as an argument.
 RANK_TOL = 1e-9
-ALIGN_TOL = 1e-9
 ISOMETRY_TOL = 1e-10
 SWEEP_CAP = 60
+SQUARINGS = 40  # steps of repeated squaring in ``spectral_radius``
 
 # Sweep until the off-diagonal Frobenius norm drops below this multiple of
 # the matrix norm; well below the 1e-11 contract so the residual bound holds
@@ -75,12 +73,14 @@ def _tournament_rounds(n: int):
     return rounds
 
 
-def _jacobi_batch(h, want_vectors, sweep_cap, off_target=_OFF_TARGET):
+def _jacobi_batch(h, want_vectors):
     """Cyclic Jacobi on a stack of Hermitian matrices.
 
     One sweep visits every off-diagonal pair once, as n-1 tournament rounds
     of disjoint pairs; the rotations inside a round commute, so each round is
     applied as one vectorized two-sided update across the whole stack.
+    Sweeping stops once the off-diagonal norm is below _OFF_TARGET times the
+    matrix norm; SWEEP_CAP sweeps without that raise ConvergenceError.
     h is modified in place and must already be exactly Hermitian with real
     diagonal.  Returns (w, v) with eigenvalues ascending; v is None when
     vectors are not requested.
@@ -97,7 +97,7 @@ def _jacobi_batch(h, want_vectors, sweep_cap, off_target=_OFF_TARGET):
     scale = np.sqrt(np.sum(np.abs(h) ** 2, axis=(1, 2)))
     # Zero matrices are already diagonal; keep their scale harmless.
     skip_at = _PIVOT_SKIP * np.where(scale > 0.0, scale, 1.0)
-    target = (off_target * scale) ** 2
+    target = (_OFF_TARGET * scale) ** 2
 
     idx = np.arange(n)
 
@@ -116,7 +116,7 @@ def _jacobi_batch(h, want_vectors, sweep_cap, off_target=_OFF_TARGET):
         return w, vv
 
     rounds = _tournament_rounds(n)
-    for _ in range(sweep_cap):
+    for _ in range(SWEEP_CAP):
         off2 = _off2()
         if np.all(off2 <= target):
             return _finish()
@@ -166,41 +166,35 @@ def _jacobi_batch(h, want_vectors, sweep_cap, off_target=_OFF_TARGET):
         return _finish()
     raise ConvergenceError(
         "cyclic Jacobi did not converge in %d sweeps (off-norm %.3e, target %.3e)"
-        % (sweep_cap, float(np.max(np.sqrt(off2))), float(np.min(np.sqrt(target))))
+        % (SWEEP_CAP, float(np.max(np.sqrt(off2))), float(np.min(np.sqrt(target))))
     )
 
 
-def herm_eig_batch(h, want_vectors: bool = True, sweep_cap: int = SWEEP_CAP,
-                   sweep_tol: float = _OFF_TARGET):
+def herm_eig_batch(h, want_vectors: bool = True):
     """Eigen-decompose a stack of Hermitian matrices, eigenvalues ascending.
 
-    sweep_tol is the relative off-diagonal norm at which sweeping stops; the
-    default is full precision.  Solver hot loops pass a looser value and
-    re-verify their final answer at the default.  A stack with a NaN or an
-    infinite entry (an overflow upstream, say) raises ValueError.
+    A stack with a NaN or an infinite entry (an overflow upstream, say)
+    raises ValueError.
     """
     work = from_lower(h)
     if work.ndim != 3 or work.shape[-1] != work.shape[-2]:
         raise ValueError("expected a (batch, n, n) stack, got %r" % (work.shape,))
     if not np.isfinite(work).all():
         raise ValueError("cannot decompose a matrix with non-finite entries")
-    return _jacobi_batch(work, want_vectors, sweep_cap, off_target=sweep_tol)
+    return _jacobi_batch(work, want_vectors)
 
 
-def herm_eigvals_batch(h, sweep_cap: int = SWEEP_CAP,
-                       sweep_tol: float = _OFF_TARGET) -> np.ndarray:
+def herm_eigvals_batch(h) -> np.ndarray:
     """Eigenvalues only for a stack of Hermitian matrices."""
-    w, _ = herm_eig_batch(h, want_vectors=False, sweep_cap=sweep_cap,
-                          sweep_tol=sweep_tol)
-    return w
+    return herm_eig_batch(h, want_vectors=False)[0]
 
 
-def herm_eig(h, sweep_cap: int = SWEEP_CAP):
+def herm_eig(h):
     """Eigenvalues (ascending) and eigenvector matrix of one Hermitian matrix."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix, got %r" % (h.shape,))
-    w, v = herm_eig_batch(h[None], want_vectors=True, sweep_cap=sweep_cap)
+    w, v = herm_eig_batch(h[None], want_vectors=True)
     return w[0], v[0]
 
 
@@ -251,15 +245,15 @@ def psd_project_batch(h) -> np.ndarray:
     return from_lower(out)
 
 
-def rank_factor(h, tol: float = RANK_TOL) -> np.ndarray:
-    """Factor a PSD matrix as E E* with one column per eigenvalue above tol.
+def rank_factor(h) -> np.ndarray:
+    """Factor a PSD matrix as E E* with one column per eigenvalue above
+    RANK_TOL times the largest eigenvalue (RANK_TOL itself for a zero matrix).
 
-    tol is relative to the largest eigenvalue (absolute for a zero matrix).
     A matrix that is indefinite beyond the same threshold is rejected.
     """
     w, v = herm_eig(h)
     lam_max = max(float(w[-1]), 0.0)
-    thresh = tol * lam_max if lam_max > 0.0 else tol
+    thresh = RANK_TOL * lam_max if lam_max > 0.0 else RANK_TOL
     if float(w[0]) < -thresh:
         raise ValueError(
             "matrix is indefinite: smallest eigenvalue %.6e is below -%.1e"
@@ -269,7 +263,7 @@ def rank_factor(h, tol: float = RANK_TOL) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])[None, :]
 
 
-def _complete_isometry(v: np.ndarray, tol: float) -> np.ndarray:
+def _complete_isometry(v: np.ndarray) -> np.ndarray:
     """Extend an isometry's columns to an orthonormal basis (deterministic MGS)."""
     m, n = v.shape
     basis = [v[:, j].copy() for j in range(n)]
@@ -289,11 +283,12 @@ def _complete_isometry(v: np.ndarray, tol: float) -> np.ndarray:
     return np.column_stack(basis[n:]) if m > n else np.zeros((m, 0), dtype=complex)
 
 
-def align_isometries(v, w, tol: float = ISOMETRY_TOL) -> np.ndarray:
+def align_isometries(v, w) -> np.ndarray:
     """Unitary U with U v = w for two isometries with equal shapes.
 
-    Both arguments must satisfy A* A = I within tol.  U acts as w v* on the
-    range of v and maps a completion of v's range onto a completion of w's.
+    Both arguments must satisfy A* A = I within ISOMETRY_TOL.  U acts as
+    w v* on the range of v and maps a completion of v's range onto a
+    completion of w's.
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -305,27 +300,27 @@ def align_isometries(v, w, tol: float = ISOMETRY_TOL) -> np.ndarray:
     eye = np.eye(n)
     for name, a in (("first", v), ("second", w)):
         defect = op_norm(a.conj().T @ a - eye)
-        if defect > tol:
+        if defect > ISOMETRY_TOL:
             raise ValueError(
                 "%s argument is not an isometry: ||A*A - I|| = %.3e" % (name, defect)
             )
-    v_perp = _complete_isometry(v, tol)
-    w_perp = _complete_isometry(w, tol)
+    v_perp = _complete_isometry(v)
+    w_perp = _complete_isometry(w)
     u = np.column_stack([w, w_perp]) @ np.column_stack([v, v_perp]).conj().T
     return u
 
 
-def spectral_radius(a, squarings: int = 40) -> float:
+def spectral_radius(a) -> float:
     """Spectral radius by Gelfand's formula with repeated squaring.
 
-    Returns ||A^(2^J)||^(1/2^J) accumulated in log space; the overestimate
-    decays like log(cond)/2^J, far below 1e-8 at the default J.
+    Returns ||A^(2^J)||^(1/2^J), J = SQUARINGS, accumulated in log space;
+    the overestimate decays like log(cond)/2^J, far below 1e-8.
     """
     t = np.asarray(a, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("expected a square matrix, got %r" % (t.shape,))
     log_est = 0.0
-    for j in range(squarings):
+    for j in range(SQUARINGS):
         c = op_norm(t)
         if c == 0.0:
             return 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,17 +187,22 @@ def test_overflowing_number_exits_one(tmp_path, capsys):
     code, data = run_raw_config(
         tmp_path, "pick", '{"nodes": [1%s], "targets": [0.0]}' % ("0" * 400))
     assert (code, data) == (1, None)
+    capsys.readouterr()
     # Finite entries whose products overflow reach the eigensolver as
-    # non-finite matrices, which it rejects.
+    # non-finite matrices, which it rejects with one line and no warning.
     huge = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    code, data = run_raw_config(
-        tmp_path, "variety", json.dumps({"s": huge, "t": huge}))
-    assert (code, data) == (1, None)
     config = restricted_infeasible_config()
     config["target"] = cli.encode_hermitian(1e308 * np.eye(3))
-    code, data = run_raw_config(tmp_path, "cone", json.dumps(config))
-    assert (code, data) == (1, None)
-    assert "non-finite" in capsys.readouterr().err
+    for command, text in (("variety", json.dumps({"s": huge, "t": huge})),
+                          ("cone", json.dumps(config))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, data = run_raw_config(tmp_path, command, text)
+        assert (code, data) == (1, None)
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,6 +345,28 @@ def test_counterexample_diagonal_mixing_inconclusive(tmp_path):
     assert code == 3
     assert data["status"] == "inconclusive"
     assert data["diagonal_mixing"] is True
+
+
+def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
+                                                           monkeypatch):
+    audited = []
+    audit = cli.validate_certificate
+
+    def counting(cert, problem, **kwargs):
+        audited.append(cert.w)
+        return audit(cert, problem, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_certificate", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "samples": [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]], "grid": [2, 8],
+        "validation_radii": 4, "validation_angles": 8}))
+    code, data = run_cli(tmp_path, "counterexample", "--config", str(cfg))
+    assert (code, data["status"]) == (0, "certified")
+    assert len(audited) == 1
+    emitted = cli.decode_certificate(data["certificate"])
+    assert np.array_equal(audited[0], emitted.w)
+    assert data["validation"]["grid_size"] == 4 * 8 + 1
 
 
 def test_noxy_constructs_violating_pair(tmp_path):

@@ -403,6 +403,25 @@ def test_validate_certificate_identity_margins():
         float(np.min(1.0 - np.abs(psi) ** 2)), abs=1e-12)
     assert report.grid_size == 16 * 24 + 1
     assert report.modulus_estimate < 0.2
+    # Every gate fails on NaN; every number must be finite, eps and delta
+    # positive.
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError):
+        DualCertificate(np.eye(3), nan, nan, 10)
+    for margin, violation, eps, delta in ((nan, -3.0, 1e-8, 1e-4),
+                                          (1.0, nan, 1e-8, 1e-4),
+                                          (inf, -3.0, 1e-8, 1e-4),
+                                          (1.0, -inf, 1e-8, 1e-4),
+                                          (1.0, -3.0, nan, 1e-4),
+                                          (1.0, -3.0, 1e-8, nan),
+                                          (1.0, -3.0, inf, 1e-4),
+                                          (1.0, -3.0, 1e-8, inf),
+                                          (1.0, -3.0, 0.0, 1e-4)):
+        with pytest.raises(ValueError):
+            DualCertificate(np.eye(3), margin, violation, 10,
+                            eps=eps, delta=delta)
+    with pytest.raises(ValueError, match="trace"):
+        DualCertificate(np.diag([1.0, 1.0, nan]), 1.0, -3.0, 10)
 
 
 def test_validate_certificate_negative_for_negated_gram():

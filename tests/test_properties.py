@@ -1,0 +1,81 @@
+"""Property tests: certificate decoding and the variety subcommand on random input.
+
+Examples are derandomized and no example database is written, so the suite
+runs the same cases every time.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neilcone import cli
+
+FIXED = settings(derandomize=True, database=None, max_examples=50,
+                 deadline=None)
+
+GATED_FIELDS = ("grid_margin", "violation", "eps", "delta")
+
+
+def valid_certificate() -> dict:
+    """Identity functional on three samples: every gate passes."""
+    return {"w": cli.encode_hermitian(np.eye(3)), "grid_margin": 1.0,
+            "violation": -3.0, "validation_grid_size": 1, "eps": 1e-8,
+            "delta": 1e-4}
+
+
+def test_valid_certificate_decodes():
+    cli.decode_certificate(valid_certificate())
+
+
+@FIXED
+@given(field=st.sampled_from(GATED_FIELDS),
+       bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+       eps=st.floats(1e-12, 1e-2), delta=st.floats(1e-8, 1.0))
+def test_decode_certificate_rejects_non_finite_gates(field, bad, eps, delta):
+    obj = valid_certificate()
+    obj["eps"], obj["delta"] = eps, delta
+    obj[field] = bad
+    with pytest.raises(ValueError):
+        cli.decode_certificate(obj)
+
+
+finite_entries = st.complex_numbers(max_magnitude=1e308, allow_nan=False,
+                                    allow_infinity=False)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.sampled_from([1, 2]))
+    return [[draw(finite_entries) for _ in range(n)] for _ in range(n)]
+
+
+@FIXED
+@given(m=square_matrices())
+def test_variety_on_equal_pairs_exits_cleanly(m):
+    mat = [[cli.encode_complex(z) for z in row] for row in m]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"s": mat, "t": mat}))
+        argv = ["variety", "--config", str(cfg), "--out", str(Path(tmp) / "o")]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert caught == []
+    text = err.getvalue()
+    if code == 1:
+        assert text.startswith("error: ") and text.count("\n") == 1
+    else:
+        assert text == ""
