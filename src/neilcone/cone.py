@@ -10,10 +10,13 @@ margin checks, done batched across the grid.
 
 Membership is decided from both sides:
 
-* ``primal_feasibility`` searches for the measure itself by Dykstra
-  alternating projections between the affine slab of exact representations
-  and the product of PSD cones.  It can affirm membership (with the measure
-  as witness) but never denies it.
+* ``primal_feasibility`` searches for the measure itself.  It first decides
+  every one-atom case in closed form: K = A_g o M forces M = K / A_g
+  entrywise, so one batched eigenvalue test over the grid finds any single
+  generator that represents K.  Otherwise Douglas-Rachford splitting runs
+  between the affine slab of exact representations and the product of PSD
+  cones.  It can affirm membership (with the measure as witness) but never
+  denies it.
 * ``dual_search`` looks for a separating functional W with
   W - D_g* W D_g >= 0 across the grid but trace(W K) < 0.  Such a W is a
   checkable certificate of non-membership: squares make any cone element
@@ -267,13 +270,21 @@ def margins(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 def primal_feasibility(problem: ConeProblem,
                        tol: float = PRIMAL_TOL) -> Feasible | Undecided:
-    """Search for a representing measure by alternating projections.
+    """Search for a representing measure, one atom first, then by splitting.
 
-    Dykstra between the affine slab of exact representations and the product
-    of PSD cones; the slab projection is entrywise closed-form because the
-    generator action is a Hadamard product.  Returns Feasible only after
-    re-checking, at full precision, that the blocks are PSD and reproduce
-    the target; anything else is Undecided, never a claim of infeasibility.
+    The exact first step: a measure with one atom g represents K only as
+    M = K / A_g entrywise, so the floors of all those matrices, taken in
+    one batched eigenvalue call, decide every one-atom case.  The first
+    generator in grid order whose matrix is PSD within BLOCK_PSD_TOL, and
+    whose stored block reproduces the target within ``tol``, is returned as
+    a one-atom measure.
+
+    Otherwise Douglas-Rachford runs between the affine slab of exact
+    representations and the product of PSD cones; the slab projection is
+    entrywise closed-form because the generator action is a Hadamard
+    product.  Returns Feasible only after re-checking, at full precision,
+    that the blocks are PSD and reproduce the target; anything else is
+    Undecided, never a claim of infeasibility.
 
     Every solve stops at the first checked measure: on a large grid that
     can be the screen, a one-candidate scan, a support solve or the
@@ -284,6 +295,19 @@ def primal_feasibility(problem: ConeProblem,
     grid = problem.effective_grid
     coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
     k_hat = problem.target.flat
+
+    # One-atom step.  No entry of A_g vanishes, since every generator value
+    # has modulus below 1, so K / A_g is always defined.
+    single = linalg.from_lower(k_hat / coefs)
+    floors = linalg.min_eig_batch(single)
+    scale = 1.0 + np.max(np.abs(single), axis=(1, 2))
+    hits = np.flatnonzero(floors >= -BLOCK_PSD_TOL * scale)
+    if hits.size:
+        measure = DiscreteMeasure(grid[hits[:1]], single[hits[:1]])
+        residual = float(np.linalg.norm(
+            coefs[hits[0]] * measure.blocks[0] - k_hat))
+        if residual <= tol:
+            return Feasible(measure, residual)
 
     if len(grid) <= SUPPORT_THRESHOLD:
         blocks, best, _z, it = _dr_run(coefs, k_hat, None, PRIMAL_MAX_ITER, tol)

@@ -174,14 +174,21 @@ def herm_eig_batch(h, want_vectors: bool = True):
     """Eigen-decompose a stack of Hermitian matrices, eigenvalues ascending.
 
     A stack with a NaN or an infinite entry (an overflow upstream, say)
-    raises ValueError.
+    raises ValueError.  Each matrix is scaled by a power of two to a largest
+    entry in [1/2, 1) before sweeping, which is exact, so entries whose
+    squares would underflow still rotate; the exponent is clipped so that
+    the factor itself stays finite for subnormal input.
     """
     work = from_lower(h)
     if work.ndim != 3 or work.shape[-1] != work.shape[-2]:
         raise ValueError("expected a (batch, n, n) stack, got %r" % (work.shape,))
     if not np.isfinite(work).all():
         raise ValueError("cannot decompose a matrix with non-finite entries")
-    return _jacobi_batch(work, want_vectors)
+    exponent = np.frexp(np.max(np.abs(work), axis=(1, 2), initial=0.0))[1]
+    factor = np.exp2(-np.maximum(exponent, -1023))
+    work *= factor[:, None, None]
+    w, v = _jacobi_batch(work, want_vectors)
+    return w / factor[:, None], v
 
 
 def herm_eigvals_batch(h) -> np.ndarray:

@@ -267,6 +267,49 @@ def test_primal_iteration_cap_reports_undecided(monkeypatch):
     assert got.iterations <= 3
 
 
+def no_splitting(*_args):
+    raise AssertionError("a one-atom target must not reach Douglas-Rachford")
+
+
+ONE_ATOM = 0.35 * np.exp(2j * np.pi * 7 / 32)  # ring 3 of the default grid
+
+
+@pytest.mark.parametrize("restriction", [(INF, 0.25, ONE_ATOM), None])
+def test_primal_one_atom_decided_without_splitting(monkeypatch, restriction):
+    # K = A_g o M for one generator g and a rank-two PSD M: the closed-form
+    # step finds g on a 3-point restriction and on the 321-point grid.
+    rng = np.random.default_rng(23)
+    samples = SampleSet((0.0, 0.4, -0.3 + 0.2j))
+    block = random_psd(rng, 6, rank=2)
+    base = ConeProblem(samples, 2, default_grid(),
+                       MatrixKernel(samples, 2, flat_identity(3, 2)))
+    target = apply_generators(DiscreteMeasure((ONE_ATOM,), block[None]), base)
+    problem = ConeProblem(samples, 2, default_grid(), target,
+                          generator_restriction=restriction)
+    monkeypatch.setattr(cone, "_dr_run", no_splitting)
+    got = primal_feasibility(problem)
+    assert isinstance(got, Feasible)
+    assert got.residual <= PRIMAL_TOL
+    assert len(got.measure.grid) == 1
+    again = apply_generators(got.measure, problem)
+    assert float(np.linalg.norm(again.flat - target.flat)) <= PRIMAL_TOL
+    assert abs(got.measure.grid[0] - ONE_ATOM) <= 1e-12
+    assert np.allclose(got.measure.blocks[0], block, atol=1e-9)
+
+
+@pytest.mark.parametrize("ring, angle", [(6, 5), (7, 20), (9, 11)])
+def test_pick_on_outer_rings_decides_one_atom(ring, angle):
+    # Rings 6, 7 and 9 are where the greedy scan used to miss the atom and
+    # come back undecided.
+    lam = (ring + 0.5) / 10 * np.exp(2j * np.pi * angle / 32)
+    nodes = (0.0, 0.5, -0.5, 0.3j)
+    got = pick_check(nodes, kernels.test_fn(lam, np.array(nodes)))
+    assert got.status == "feasible"
+    assert got.residual <= PRIMAL_TOL
+    assert len(got.measure.grid) == 1
+    assert abs(got.measure.grid[0] - lam) <= 1e-12
+
+
 def restricted_infeasible_problem():
     """-I on three samples over {inf, 0}: no measure reaches a negative
     diagonal."""
@@ -460,8 +503,9 @@ def test_pick_tautological_test_function_values():
 
 
 def test_pick_on_grid_target_keeps_the_scanned_atom():
-    # 1 - psi_lam psi_lam* is one atom at lam: the greedy scan's first
-    # checked measure is the answer, on the one-point subgrid {lam}.
+    # 1 - psi_lam psi_lam* is one atom at lam: K / A_lam is the all-ones
+    # matrix, so the closed-form one-atom step returns {lam} before any
+    # Douglas-Rachford run.
     lam = 0.45 * np.exp(2j * np.pi * 9 / 32)  # ring 4 of the default grid
     nodes = (0.0, 0.5, -0.5, 0.3j)
     w = kernels.test_fn(lam, np.array(nodes, dtype=complex))

@@ -38,6 +38,25 @@ def test_herm_eig_matches_independent_solver():
         assert np.allclose(w, ref, atol=1e-11 * (1 + np.linalg.norm(h)))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e300])
+def test_herm_eig_tiny_and_huge_entries_match_independent_solver(scale):
+    # Squared entries below about 1e-162 underflow to zero; the solver must
+    # still rotate such a matrix rather than return its diagonal.
+    h = scale * np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
+    ref = np.linalg.eigvalsh(h)
+    got = linalg.herm_eigvals_batch(h[None])[0]
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    h3 = scale * np.array([[2.0, 1.0j, 0.0], [-1.0j, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    w, v = linalg.herm_eig(h3)
+    assert np.allclose(w, np.linalg.eigvalsh(h3), rtol=1e-12, atol=0.0)
+    assert linalg.op_norm(v.conj().T @ v - np.eye(3)) <= 1e-12
+
+
+def test_herm_eig_subnormal_entries_stay_finite():
+    w = linalg.herm_eigvals_batch(np.full((1, 2, 2), 5e-324, dtype=complex))
+    assert np.all(np.isfinite(w)) and np.all(np.abs(w) <= 1e-322)
+
+
 def test_herm_eig_batch_matches_single():
     rng = np.random.default_rng(99)
     hs = np.stack([random_hermitian(rng, 6) for _ in range(5)])

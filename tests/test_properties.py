@@ -1,4 +1,5 @@
-"""Property tests: certificate decoding and the variety subcommand on random input.
+"""Property tests: certificate decoding, the variety subcommand and one-atom
+cone members on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neilcone import cli
+from neilcone import cli, cone
+from neilcone.kernels import MatrixKernel, SampleSet
+from conftest import random_psd
 
 FIXED = settings(derandomize=True, database=None, max_examples=50,
                  deadline=None)
@@ -79,3 +82,37 @@ def test_variety_on_equal_pairs_exits_cleanly(m):
         assert text.startswith("error: ") and text.count("\n") == 1
     else:
         assert text == ""
+
+
+ATOM_SAMPLES = (0.0, 0.4, -0.3 + 0.2j)
+ATOM_RESTRICTION = (np.inf, 0.25, -0.3 + 0.2j)
+
+
+def hadamard_coefs(g: complex, block_dim: int) -> np.ndarray:
+    """A_g = 1 - d d* from the test function, numpy only."""
+    z = np.array(ATOM_SAMPLES, dtype=complex)
+    psi = z**2 if np.isinf(g) else z**2 * (z - g) / (1.0 - np.conj(g) * z)
+    d = np.repeat(psi, block_dim)
+    return 1.0 - d[:, None] * np.conj(d)[None, :]
+
+
+@FIXED
+@given(g=st.sampled_from(ATOM_RESTRICTION), block_dim=st.sampled_from([1, 2]),
+       rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_one_atom_member_is_feasible(g, block_dim, rank, seed):
+    n = len(ATOM_SAMPLES) * block_dim
+    m = random_psd(np.random.default_rng(seed), n, rank=min(rank, n))
+    k = hadamard_coefs(g, block_dim) * m
+    samples = SampleSet(ATOM_SAMPLES)
+    problem = cone.ConeProblem(samples, block_dim, cone.default_grid(),
+                               MatrixKernel(samples, block_dim, k),
+                               generator_restriction=ATOM_RESTRICTION)
+    got = cone.primal_feasibility(problem)
+    assert isinstance(got, cone.Feasible)
+    blocks = got.measure.blocks
+    again = sum(hadamard_coefs(p, block_dim) * b
+                for p, b in zip(got.measure.grid, blocks))
+    assert np.linalg.norm(again - k) <= cone.PRIMAL_TOL
+    for b in blocks:
+        floor = np.linalg.eigvalsh(b)[0]
+        assert floor >= -cone.BLOCK_PSD_TOL * (1.0 + np.abs(b).max())
