@@ -290,7 +290,10 @@ def primal_feasibility(problem: ConeProblem,
     can be the screen, a one-candidate scan, a support solve or the
     full-grid fallback, and the measure lives on the grid of whichever
     solve found it.  A solve that finds none stops at its stall rule or its
-    budget (see ``_dr_run``).
+    budget (see ``_dr_run``).  A solve over the whole grid (the small-grid
+    solve, the screen or the fallback) also stops on a functional that
+    separates K from the cone over the grid; that ends the search, since a
+    measure on a subgrid is a measure on the grid.
     """
     grid = problem.effective_grid
     coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
@@ -310,7 +313,8 @@ def primal_feasibility(problem: ConeProblem,
             return Feasible(measure, residual)
 
     if len(grid) <= SUPPORT_THRESHOLD:
-        blocks, best, _z, it = _dr_run(coefs, k_hat, None, PRIMAL_MAX_ITER, tol)
+        blocks, best, _z, it = _dr_run(coefs, k_hat, None, PRIMAL_MAX_ITER,
+                                       tol, separate=True)
         if blocks is not None:
             return Feasible(DiscreteMeasure(grid, blocks), best)
         return Undecided(best, it)
@@ -325,9 +329,12 @@ def primal_feasibility(problem: ConeProblem,
     # problem, so a scan that already returns checked blocks ends the search
     # on its own subgrid.  Fall back to the full grid with the leftover
     # budget.
-    blocks, best, z, spent = _dr_run(coefs, k_hat, None, SCREEN_ITERS, tol)
+    blocks, best, z, spent = _dr_run(coefs, k_hat, None, SCREEN_ITERS, tol,
+                                     separate=True)
     if blocks is not None:
         return Feasible(DiscreteMeasure(grid, blocks), best)
+    if z is None:  # separated: no measure on any subgrid passes either
+        return Undecided(best, spent)
     screened = linalg.psd_project_batch(linalg.hermitian_part(z))
     mass = np.real(np.einsum("gii->g", screened))
     finite = np.isfinite(grid)
@@ -370,7 +377,8 @@ def primal_feasibility(problem: ConeProblem,
             return Feasible(DiscreteMeasure(grid[sel], blocks), sub_best)
     remaining = PRIMAL_MAX_ITER - spent
     if remaining > 0:
-        blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, tol)
+        blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, tol,
+                                            separate=True)
         spent += it
         best = min(best, full_best)
         if blocks is not None:
@@ -378,7 +386,31 @@ def primal_feasibility(problem: ConeProblem,
     return Undecided(best, spent)
 
 
-def _dr_run(coefs, k_hat, z, max_iter, tol):
+def _separating(theta, k_hat, coefs, tol):
+    """The affine step's multiplier as a separating functional, or None.
+
+    W = -herm(theta), normalized to trace n and mixed toward I until its
+    margins over ``coefs`` clear MARGIN_FLOOR (see ``_mixed_with_identity``).
+    Returned only when every margin is >= 0 and
+    trace(W K) < -tol ||W||_F - MIN_VIOLATION; ``_dr_run`` states what that
+    proves.
+    """
+    w = -linalg.hermitian_part(theta)
+    tr = float(np.real(np.trace(w)))
+    if not tr > 0.0:
+        return None
+    w *= w.shape[0] / tr
+    margin_identity = np.min(np.real(np.diagonal(coefs, axis1=1, axis2=2)),
+                             axis=1)
+    w, vals, viol = _mixed_with_identity(w, k_hat, coefs, margin_identity,
+                                         MARGIN_FLOOR)
+    if (float(np.min(vals)) >= 0.0
+            and viol < -tol * float(np.linalg.norm(w)) - MIN_VIOLATION):
+        return w
+    return None
+
+
+def _dr_run(coefs, k_hat, z, max_iter, tol, separate=False):
     """Douglas-Rachford on (affine slab, product PSD cone).
 
     The PSD-side iterate is always an honest measure candidate whose only
@@ -387,7 +419,22 @@ def _dr_run(coefs, k_hat, z, max_iter, tol):
     Stops at the first iterate whose residual is within ``tol`` and whose
     blocks pass the PSD check, at the stall rule (checked from iteration
     2 * STALL_WINDOW on) or after ``max_iter`` iterations.
-    Returns (feasible_blocks_or_None, best_residual, z_state, iterations).
+
+    With ``separate``, which only the runs over the problem's whole grid
+    pass (a scan's residual ranks its candidate atom, so scans run on), it
+    also stops on a separating functional, tested at iterations 1, 2, 4,
+    8, ... after the residual is recorded (see ``_separating``).
+    Weak duality: if every margin of W is >= 0, then
+    trace(W sum_g A_g o Y_g) >= 0 for PSD blocks Y_g, and by Cauchy-Schwarz
+    a residual ||sum_g A_g o Y_g - K||_F <= tol forces
+    trace(W K) >= -tol ||W||_F.  So once trace(W K) lies below that by
+    MIN_VIOLATION, no measure on the grid passes the acceptance test.
+    MIN_VIOLATION is the slack for that test's own PSD tolerance: blocks
+    may dip to -BLOCK_PSD_TOL (1 + max|Y|), which moves the pairing by at
+    most that times G n (the margin traces of a trace-n W sum to at most
+    G n over G generators).
+    Returns (feasible_blocks_or_None, best_residual, z_state, iterations);
+    z_state is None when the run stopped on a separating functional.
     """
     conj_coefs = np.conj(coefs)
     denom = np.sum(np.abs(coefs) ** 2, axis=0)  # strictly positive entrywise
@@ -413,6 +460,9 @@ def _dr_run(coefs, k_hat, z, max_iter, tol):
             scale = 1.0 + float(np.max(np.abs(y), initial=0.0))
             if floor >= -BLOCK_PSD_TOL * scale:
                 return y, residual, z, it
+        if (separate and it & (it - 1) == 0
+                and _separating(theta, k_hat, coefs, tol) is not None):
+            return None, best, None, it
         # Stall rule: give up only when a whole window brought less than a
         # (1 - STALL_RATIO) relative improvement; slow steady linear decay
         # at that rate cannot reach tol within the iteration cap anyway.
@@ -542,6 +592,15 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     relaxation and residual balancing are standard accelerants.  First-order
     accuracy is all that is needed here: the result seeds a feasibility
     polish and an identity-mixing step that restore exact constraints.
+
+    Returns (W, L).  L is a weak-duality floor from the slack multipliers
+    Z_g = -beta u_g, which are PSD by construction (each u_g is a point
+    minus its PSD projection).  For every W in the working-set dual cone
+    (W PSD with trace n, every W o conj(A_g) PSD):
+    trace(W K) >= trace(W K) - sum_g <Z_g, W o conj(A_g)>
+    = <W, K - sum_g A_g o Z_g> >= n lambda_min(K - sum_g A_g o Z_g) = L.
+    L is exact up to the eigensolver's rounding of Z_g and of lambda_min,
+    whatever the ADMM iterate has converged to.
     """
     beta = ADMM_BETA
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
@@ -576,7 +635,8 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
             elif dual_res > 10.0 * primal_res:
                 beta /= 2.0
                 u *= 2.0
-    return w
+    slack = np.einsum("gij,gij->ij", np.conj(conj_coefs), u[1:])
+    return w, n * linalg.min_eig(sigma_hat + beta * slack)
 
 
 def _mixed_with_identity(w, sigma_hat, audit_coefs, margin_identity,
@@ -618,6 +678,15 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     returned.  Returns None when no certificate emerges; that outcome never
     claims membership.  ``radii`` x ``angles`` is the dense audit grid of
     an unrestricted problem (see ``validation_grid``).
+
+    Polish gate: ADMM also returns a floor L with trace(W K) >= L for every
+    W in the working-set dual cone, which contains every W a polish asks
+    for.  A polish whose target v lies below L, with the slack
+    v < L - GRID_EPS |L| for the rounding in L, asks for an empty set, so
+    it is skipped, and the deepening loop stops there.  Such a polish could
+    at best have returned a W inside its 10% acceptance band, and that W
+    still pairs at or above L: the skip gives up at most the gap between
+    the current violation and L.
     """
     samples = problem.sample_set
     d = problem.block_dim
@@ -639,7 +708,7 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
 
-    w = _admm_min_violation(sigma_hat, conj_coefs, n)
+    w, floor = _admm_min_violation(sigma_hat, conj_coefs, n)
     w = linalg.psd_project(w)
     tr = float(np.real(np.trace(w)))
     if tr < 1e-9 * n:
@@ -653,12 +722,19 @@ def dual_search(problem: ConeProblem, radii: int = 64,
         return None
     best = (w, float(np.min(audit_vals)), viol)
 
-    polished = _dual_polish(w, sigma_hat, conj_coefs, n, viol * 1.05,
-                            POLISH_MARGIN)
+    def reachable(target):
+        return target >= floor - GRID_EPS * abs(floor)
+
+    polished = None
+    if reachable(viol * 1.05):
+        polished = _dual_polish(w, sigma_hat, conj_coefs, n, viol * 1.05,
+                                POLISH_MARGIN)
     if polished is not None:
         v_cur = float(np.real(np.sum(polished * np.conj(sigma_hat))))
         w_cur = polished
         for _ in range(MAX_DEEPEN):
+            if not reachable(v_cur * DEEPEN_FACTOR):
+                break
             deeper = _dual_polish(w_cur, sigma_hat, conj_coefs, n,
                                   v_cur * DEEPEN_FACTOR, POLISH_MARGIN)
             if deeper is None:

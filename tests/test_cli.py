@@ -295,6 +295,24 @@ def test_cone_restricted_infeasible_certificate(tmp_path):
     assert cert.violation <= -1e-4
 
 
+def test_cone_separated_primal_reports_finite_residual(tmp_path,
+                                                      monkeypatch):
+    # The primal stops on its separation check; with no dual certificate the
+    # undecided payload carries that run's residual as strict JSON.
+    monkeypatch.setattr(cone, "dual_search", lambda problem: None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(restricted_infeasible_config()))
+    out = tmp_path / "out.json"
+    assert cli.main(["cone", "--config", str(cfg), "--out", str(out)]) == 3
+
+    def reject(token):
+        raise ValueError("non-finite %s in output" % token)
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["status"] == "undecided"
+    assert np.isfinite(data["residual"]) and data["residual"] > 0.0
+
+
 def test_cone_failed_reaudit_is_inconclusive(tmp_path, monkeypatch):
     audit = cli.validate_certificate
 

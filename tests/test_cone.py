@@ -319,10 +319,40 @@ def restricted_infeasible_problem():
                        generator_restriction=(INF, 0.0))
 
 
-def test_primal_infeasible_stops_at_first_stall_check():
+def test_primal_infeasible_separates_at_first_check():
+    # The first affine step's multiplier is a positive diagonal W, which
+    # pairs negatively with -I: the run ends at iteration 1.
+    got = primal_feasibility(restricted_infeasible_problem())
+    assert isinstance(got, Undecided)
+    assert got.iterations == 1
+    assert np.isfinite(got.residual) and got.residual > 0.0
+
+
+def test_primal_infeasible_stops_at_first_stall_check(monkeypatch):
+    monkeypatch.setattr(cone, "_separating", lambda *args: None)
     got = primal_feasibility(restricted_infeasible_problem())
     assert isinstance(got, Undecided)
     assert got.iterations == 2 * STALL_WINDOW
+
+
+def test_primal_screen_separation_skips_the_scans(monkeypatch):
+    # -I over the whole 321-point grid separates in the screen; a
+    # separated grid separates every subgrid, so no scan runs.
+    samples = SampleSet((0.0, 0.4, -0.3 + 0.2j))
+    problem = ConeProblem(samples, 1, default_grid(),
+                          MatrixKernel(samples, 1, -np.eye(3, dtype=complex)))
+    runs = []
+    dr_run = cone._dr_run
+
+    def recording(*args, **kwargs):
+        runs.append(kwargs.get("separate", False))
+        return dr_run(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "_dr_run", recording)
+    got = primal_feasibility(problem)
+    assert isinstance(got, Undecided)
+    assert runs == [True]
+    assert got.iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +379,53 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
                        unreachable, POLISH_MARGIN)
     assert got is None
     assert len(calls) == 600
+
+
+def recording_admm_floor(monkeypatch):
+    """Wrap the ADMM stage so a test can read the floor L it returned."""
+    floors = []
+    admm = cone._admm_min_violation
+
+    def recording(*args):
+        w, floor = admm(*args)
+        floors.append(floor)
+        return w, floor
+
+    monkeypatch.setattr(cone, "_admm_min_violation", recording)
+    return floors
+
+
+@pytest.mark.parametrize("seed, block_dim", [(11, 1), (40, 1), (41, 1),
+                                             (11, 2)])
+def test_admm_floor_is_below_the_certificate_violation(monkeypatch, seed,
+                                                        block_dim):
+    # The certificate lies in the working-set dual cone, so weak duality
+    # puts its violation at or above L.
+    floors = recording_admm_floor(monkeypatch)
+    problem, _ = perturbed_problem(seed, block_dim)
+    cert = dual_search(problem)
+    assert cert is not None
+    assert len(floors) == 1
+    assert floors[0] <= cert.violation + 1e-9 * abs(cert.violation)
+
+
+def test_unreachable_polish_is_skipped(monkeypatch):
+    # For K = -I every trace-n W pairs to exactly -n, so L <= -n, and the
+    # tight ADMM floor leaves the polish target 1.05 * (-n) below L: no
+    # polish may run.
+    def no_polish(*_args):
+        raise AssertionError("the polish target lies below the ADMM floor")
+
+    floors = recording_admm_floor(monkeypatch)
+    monkeypatch.setattr(cone, "_dual_polish", no_polish)
+    problem = restricted_infeasible_problem()
+    cert = dual_search(problem)
+    assert cert is not None
+    n = problem.dim
+    assert -1.05 * n < floors[0] <= -n + 1e-9 * n
+    report = validate_certificate(cert, problem)
+    assert report.worst_margin >= -cert.eps
+    assert cert.violation <= -cert.delta
 
 
 def test_dual_zero_target_yields_none():

@@ -1,5 +1,5 @@
-"""Property tests: certificate decoding, the variety subcommand and one-atom
-cone members on random input.
+"""Property tests: certificate decoding, the variety subcommand, one-atom
+cone members and the primal separation exit on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -116,3 +116,84 @@ def test_one_atom_member_is_feasible(g, block_dim, rank, seed):
     for b in blocks:
         floor = np.linalg.eigvalsh(b)[0]
         assert floor >= -cone.BLOCK_PSD_TOL * (1.0 + np.abs(b).max())
+
+
+def atom_problem(k: np.ndarray, block_dim: int) -> cone.ConeProblem:
+    samples = SampleSet(ATOM_SAMPLES)
+    return cone.ConeProblem(samples, block_dim, cone.default_grid(),
+                            MatrixKernel(samples, block_dim, k),
+                            generator_restriction=ATOM_RESTRICTION)
+
+
+@contextlib.contextmanager
+def recorded_separations():
+    """Record the result of every separation check the primal makes."""
+    results = []
+    separating = cone._separating
+
+    def recording(*args):
+        results.append(separating(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_separating", recording)
+        yield results
+
+
+def member(rng, atoms, block_dim: int, rank: int) -> np.ndarray:
+    """sum_g A_g o M_g over some restriction points, M_g PSD of the rank."""
+    n = len(ATOM_SAMPLES) * block_dim
+    return sum(hadamard_coefs(ATOM_RESTRICTION[a], block_dim)
+               * random_psd(rng, n, rank=min(rank, n)) for a in atoms)
+
+
+MEMBER_ATOMS = st.sampled_from([(0, 1), (0, 2), (1, 2), (0, 1, 2)])
+
+
+@FIXED
+@given(atoms=MEMBER_ATOMS, block_dim=st.sampled_from([1, 2]),
+       rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_member_is_never_separated(atoms, block_dim, rank, seed):
+    # Low ranks keep the one-atom step from deciding most of these, so the
+    # splitting runs here directly: up to seven checks, at iterations
+    # 1, 2, ..., 64, over the whole restriction.
+    k = member(np.random.default_rng(seed), atoms, block_dim, rank)
+    problem = atom_problem(k, block_dim)
+    coefs = cone._generator_data(problem.effective_grid, problem.sample_set,
+                                 block_dim)[1]
+    with recorded_separations() as results:
+        z = cone._dr_run(coefs, k, None, 64, cone.PRIMAL_TOL,
+                         separate=True)[2]
+    assert z is not None
+    assert results and all(w is None for w in results)
+
+
+@FIXED
+@given(atoms=MEMBER_ATOMS, block_dim=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_multi_atom_member_is_feasible(atoms, block_dim, seed):
+    k = member(np.random.default_rng(seed), atoms, block_dim, 6)
+    with recorded_separations() as results:
+        got = cone.primal_feasibility(atom_problem(k, block_dim))
+    assert all(w is None for w in results)
+    assert isinstance(got, cone.Feasible)
+    again = sum(hadamard_coefs(p, block_dim) * b
+                for p, b in zip(got.measure.grid, got.measure.blocks))
+    assert np.linalg.norm(again - k) <= cone.PRIMAL_TOL
+
+
+@FIXED
+@given(block_dim=st.sampled_from([1, 2]), rank=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_separating_functional_rechecks(block_dim, rank, seed):
+    n = len(ATOM_SAMPLES) * block_dim
+    k = -random_psd(np.random.default_rng(seed), n, rank=min(rank, n))
+    with recorded_separations() as results:
+        got = cone.primal_feasibility(atom_problem(k, block_dim))
+    assert isinstance(got, cone.Undecided) and np.isfinite(got.residual)
+    w = results[-1]
+    assert w is not None and got.iterations & (got.iterations - 1) == 0
+    assert np.real(np.trace(w @ k)) < 0.0
+    for g in ATOM_RESTRICTION:
+        pairing = w * np.conj(hadamard_coefs(g, block_dim))
+        assert np.linalg.eigvalsh(pairing)[0] >= 0.0
