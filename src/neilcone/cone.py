@@ -13,10 +13,10 @@ Membership is decided from both sides:
 * ``primal_feasibility`` searches for the measure itself.  It first decides
   every one-atom case in closed form: K = A_g o M forces M = K / A_g
   entrywise, so one batched eigenvalue test over the grid finds any single
-  generator that represents K.  Otherwise Douglas-Rachford splitting runs
-  between the affine slab of exact representations and the product of PSD
-  cones.  It can affirm membership (with the measure as witness) but never
-  denies it.
+  generator that represents K.  Otherwise one Douglas-Rachford run over the
+  whole grid splits between the affine slab of exact representations and
+  the product of PSD cones.  It can affirm membership (with the measure as
+  witness) but never denies it.
 * ``dual_search`` looks for a separating functional W with
   W - D_g* W D_g >= 0 across the grid but trace(W K) < 0.  Such a W is a
   checkable certificate of non-membership: squares make any cone element
@@ -45,17 +45,9 @@ DUST_TRACE = 1e-6        # clusters below this total trace are discarded
 AUDIT_RADIUS = 0.999     # outermost ring of the dense audit grid
 
 # Primal search (Douglas-Rachford); see ``primal_feasibility``.
-PRIMAL_MAX_ITER = 20000  # iterations over all solves of one search
+PRIMAL_MAX_ITER = 20000  # iteration cap of the one splitting run
 STALL_WINDOW = 250       # stall rule window (see ``_dr_run``)
 STALL_RATIO = 0.98       # stall rule: less than 2% gain per window
-SUPPORT_THRESHOLD = 32   # larger grids get the screen and greedy support
-SCREEN_ITERS = 400       # full-grid screen locating the mass peaks
-SUPPORT_ATOMS = 8        # atoms grown greedily, at most
-SUPPORT_RADIUS = 0.1     # a new atom's peak lies this far from the others
-SCAN_RADIUS = 0.2        # candidates lie this close to the peak
-SCAN_LIMIT = 16          # candidates per atom, heaviest first
-SCAN_ITERS = 300         # solve length per candidate
-SUPPORT_ITERS = 4000     # solve length per grown support
 
 # Dual search (ADMM, Dykstra polish, identity mixing) settings.
 ADMM_ITERS = 3000
@@ -73,6 +65,9 @@ WORKING_LIMIT = 48       # generators in the thinned working set
 
 def _polar_grid(radii: np.ndarray, angles: int) -> np.ndarray:
     """Infinity, then ``angles`` equally spaced points on each radius."""
+    if len(radii) < 1 or angles < 1:
+        raise ValueError("a polar grid needs at least one radius and one "
+                         "angle")
     ring = np.exp(2j * np.pi * np.arange(angles) / angles)
     return np.concatenate([[np.inf], (radii[:, None] * ring).ravel()])
 
@@ -279,21 +274,15 @@ def primal_feasibility(problem: ConeProblem,
     whose stored block reproduces the target within ``tol``, is returned as
     a one-atom measure.
 
-    Otherwise Douglas-Rachford runs between the affine slab of exact
+    Otherwise one Douglas-Rachford run over the whole effective grid, at
+    most PRIMAL_MAX_ITER iterations, goes between the affine slab of exact
     representations and the product of PSD cones; the slab projection is
     entrywise closed-form because the generator action is a Hadamard
-    product.  Returns Feasible only after re-checking, at full precision,
-    that the blocks are PSD and reproduce the target; anything else is
-    Undecided, never a claim of infeasibility.
-
-    Every solve stops at the first checked measure: on a large grid that
-    can be the screen, a one-candidate scan, a support solve or the
-    full-grid fallback, and the measure lives on the grid of whichever
-    solve found it.  A solve that finds none stops at its stall rule or its
-    budget (see ``_dr_run``).  A solve over the whole grid (the small-grid
-    solve, the screen or the fallback) also stops on a functional that
-    separates K from the cone over the grid; that ends the search, since a
-    measure on a subgrid is a measure on the grid.
+    product.  It stops at the first checked measure, at its stall rule, on
+    a functional that separates K from the cone over the grid, or at the
+    cap (see ``_dr_run``).  Returns Feasible only after re-checking, at
+    full precision, that the blocks are PSD and reproduce the target;
+    anything else is Undecided, never a claim of infeasibility.
     """
     grid = problem.effective_grid
     coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
@@ -312,78 +301,10 @@ def primal_feasibility(problem: ConeProblem,
         if residual <= tol:
             return Feasible(measure, residual)
 
-    if len(grid) <= SUPPORT_THRESHOLD:
-        blocks, best, _z, it = _dr_run(coefs, k_hat, None, PRIMAL_MAX_ITER,
-                                       tol, separate=True)
-        if blocks is not None:
-            return Feasible(DiscreteMeasure(grid, blocks), best)
-        return Undecided(best, it)
-
-    # Large grids: the least-norm affine step spreads every correction over
-    # all generators at once, so the splitting crawls and its mass profile
-    # only locates atoms to within a grid cell or two.  Instead of trusting
-    # the profile, grow a support greedily: around each screened peak, give
-    # every neighboring grid point a brief restricted solve and keep the one
-    # that actually drives the residual down (the right atom collapses it,
-    # wrong ones stall high).  A measure on a subgrid is a measure for the
-    # problem, so a scan that already returns checked blocks ends the search
-    # on its own subgrid.  Fall back to the full grid with the leftover
-    # budget.
-    blocks, best, z, spent = _dr_run(coefs, k_hat, None, SCREEN_ITERS, tol,
-                                     separate=True)
+    blocks, best, it = _dr_run(coefs, k_hat, tol)
     if blocks is not None:
         return Feasible(DiscreteMeasure(grid, blocks), best)
-    if z is None:  # separated: no measure on any subgrid passes either
-        return Undecided(best, spent)
-    screened = linalg.psd_project_batch(linalg.hermitian_part(z))
-    mass = np.real(np.einsum("gii->g", screened))
-    finite = np.isfinite(grid)
-    inf_idx = np.flatnonzero(~finite)[:1].tolist()
-    atoms: list[int] = []
-    while len(atoms) < SUPPORT_ATOMS:
-        open_mass = np.where(finite, mass, -math.inf)
-        for i in atoms:
-            open_mass[np.abs(grid - grid[i]) <= SUPPORT_RADIUS] = -math.inf
-        peak = int(np.argmax(open_mass))
-        if not math.isfinite(open_mass[peak]) or open_mass[peak] <= 0.0:
-            break
-        # Scan the peak's neighborhood one candidate at a time, without the
-        # flat generator: its overlap with everything slows the short runs
-        # down uniformly and buries the signal, while a lone right atom
-        # collapses the residual within the scan budget.
-        candidates = [
-            i for i in np.flatnonzero(
-                np.abs(grid - grid[peak]) <= SCAN_RADIUS)
-            if i not in atoms
-        ]
-        candidates.sort(key=lambda i: -mass[i])
-        del candidates[SCAN_LIMIT:]
-        if not candidates:
-            break
-        scans = []
-        for i in candidates:
-            blocks, res, _, it = _dr_run(coefs[atoms + [i]], k_hat, None,
-                                         SCAN_ITERS, tol)
-            spent += it
-            if blocks is not None:
-                return Feasible(DiscreteMeasure(grid[atoms + [i]], blocks), res)
-            scans.append((res, i))
-        atoms.append(min(scans)[1])
-        sel = inf_idx + atoms
-        blocks, sub_best, _z, it = _dr_run(coefs[sel], k_hat, None,
-                                           SUPPORT_ITERS, tol)
-        spent += it
-        if blocks is not None:
-            return Feasible(DiscreteMeasure(grid[sel], blocks), sub_best)
-    remaining = PRIMAL_MAX_ITER - spent
-    if remaining > 0:
-        blocks, full_best, _z, it = _dr_run(coefs, k_hat, z, remaining, tol,
-                                            separate=True)
-        spent += it
-        best = min(best, full_best)
-        if blocks is not None:
-            return Feasible(DiscreteMeasure(grid, blocks), full_best)
-    return Undecided(best, spent)
+    return Undecided(best, it)
 
 
 def _separating(theta, k_hat, coefs, tol):
@@ -410,20 +331,17 @@ def _separating(theta, k_hat, coefs, tol):
     return None
 
 
-def _dr_run(coefs, k_hat, z, max_iter, tol, separate=False):
-    """Douglas-Rachford on (affine slab, product PSD cone).
+def _dr_run(coefs, k_hat, tol):
+    """Douglas-Rachford on (affine slab, product PSD cone) over ``coefs``.
 
     The PSD-side iterate is always an honest measure candidate whose only
     defect is the affine residual, which the splitting drives to the
     distance between the sets (zero exactly when a measure exists).
     Stops at the first iterate whose residual is within ``tol`` and whose
     blocks pass the PSD check, at the stall rule (checked from iteration
-    2 * STALL_WINDOW on) or after ``max_iter`` iterations.
-
-    With ``separate``, which only the runs over the problem's whole grid
-    pass (a scan's residual ranks its candidate atom, so scans run on), it
-    also stops on a separating functional, tested at iterations 1, 2, 4,
-    8, ... after the residual is recorded (see ``_separating``).
+    2 * STALL_WINDOW on), after PRIMAL_MAX_ITER iterations, or on a
+    separating functional, tested at iterations 1, 2, 4, 8, ... after the
+    residual is recorded (see ``_separating``).
     Weak duality: if every margin of W is >= 0, then
     trace(W sum_g A_g o Y_g) >= 0 for PSD blocks Y_g, and by Cauchy-Schwarz
     a residual ||sum_g A_g o Y_g - K||_F <= tol forces
@@ -433,17 +351,15 @@ def _dr_run(coefs, k_hat, z, max_iter, tol, separate=False):
     may dip to -BLOCK_PSD_TOL (1 + max|Y|), which moves the pairing by at
     most that times G n (the margin traces of a trace-n W sum to at most
     G n over G generators).
-    Returns (feasible_blocks_or_None, best_residual, z_state, iterations);
-    z_state is None when the run stopped on a separating functional.
+    Returns (feasible_blocks_or_None, best_residual, iterations).
     """
     conj_coefs = np.conj(coefs)
     denom = np.sum(np.abs(coefs) ** 2, axis=0)  # strictly positive entrywise
-    if z is None:
-        z = np.zeros_like(coefs)
+    z = np.zeros_like(coefs)
     best = math.inf
     history: list[float] = []
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PRIMAL_MAX_ITER + 1):
         # Affine step: smallest correction of z that makes the representation
         # exact, computed independently at every matrix entry.
         theta = (k_hat - np.einsum("gij,gij->ij", coefs, z)) / denom
@@ -459,10 +375,10 @@ def _dr_run(coefs, k_hat, z, max_iter, tol, separate=False):
             floor = float(np.min(linalg.min_eig_batch(y)))
             scale = 1.0 + float(np.max(np.abs(y), initial=0.0))
             if floor >= -BLOCK_PSD_TOL * scale:
-                return y, residual, z, it
-        if (separate and it & (it - 1) == 0
+                return y, residual, it
+        if (it & (it - 1) == 0
                 and _separating(theta, k_hat, coefs, tol) is not None):
-            return None, best, None, it
+            return None, best, it
         # Stall rule: give up only when a whole window brought less than a
         # (1 - STALL_RATIO) relative improvement; slow steady linear decay
         # at that rate cannot reach tol within the iteration cap anyway.
@@ -473,7 +389,7 @@ def _dr_run(coefs, k_hat, z, max_iter, tol, separate=False):
             and history[-1] > STALL_RATIO * history[-STALL_WINDOW]
         ):
             break
-    return None, best, z, it
+    return None, best, it
 
 
 def _project_affine(w_tilde, ys, conj_coefs, denom_s, trace_target):

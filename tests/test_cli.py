@@ -252,6 +252,31 @@ def test_cone_grid_with_restriction_exits_one(tmp_path, capsys):
     assert run_raw_config(tmp_path, "cone", json.dumps(config)) == (1, None)
 
 
+def assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("spec", ["0x32", "-2x5", "3x0", "3x-4"])
+def test_cone_non_positive_grid_exits_one(tmp_path, capsys, spec):
+    # Such a grid would hold infinity alone.
+    config = restricted_infeasible_config()
+    del config["restriction"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["cone", "--config", str(cfg), "--grid=" + spec]) == 1
+    assert_one_error_line(capsys, "at least one radius and one angle")
+
+
+def test_counterexample_without_validation_radii_exits_one(tmp_path, capsys):
+    # An audit over infinity alone must not back a "certified".
+    code, data = run_raw_config(tmp_path, "counterexample",
+                                '{"validation_radii": 0}')
+    assert (code, data) == (1, None)
+    assert_one_error_line(capsys, "at least one radius and one angle")
+
+
 def test_tolerance_must_be_finite(tmp_path):
     assert cli.main(["variety", "--tol", "nan"]) == 1
     assert cli.main(["variety", "--tol", "inf"]) == 1

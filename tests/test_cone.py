@@ -259,12 +259,16 @@ def test_primal_single_point_scalar_always_feasible():
 
 
 def test_primal_iteration_cap_reports_undecided(monkeypatch):
-    problem, _ = diagonal_problem()
+    # The cap bounds the whole search, on the 6-point grid and on the
+    # 321-point default grid alike.
+    small, _ = diagonal_problem()
+    large = ConeProblem(small.sample_set, 2, default_grid(), small.target)
     monkeypatch.setattr(cone, "PRIMAL_MAX_ITER", 3)
-    got = primal_feasibility(problem)
-    assert isinstance(got, Undecided)
-    assert got.residual > 0.0
-    assert got.iterations <= 3
+    for problem in (small, large):
+        got = primal_feasibility(problem)
+        assert isinstance(got, Undecided)
+        assert got.residual > 0.0
+        assert got.iterations <= 3
 
 
 def no_splitting(*_args):
@@ -335,23 +339,23 @@ def test_primal_infeasible_stops_at_first_stall_check(monkeypatch):
     assert got.iterations == 2 * STALL_WINDOW
 
 
-def test_primal_screen_separation_skips_the_scans(monkeypatch):
-    # -I over the whole 321-point grid separates in the screen; a
-    # separated grid separates every subgrid, so no scan runs.
+def test_primal_whole_grid_separates_in_one_run(monkeypatch):
+    # -I over the whole 321-point grid: one splitting run over every
+    # generator, which separates at its first check.
     samples = SampleSet((0.0, 0.4, -0.3 + 0.2j))
     problem = ConeProblem(samples, 1, default_grid(),
                           MatrixKernel(samples, 1, -np.eye(3, dtype=complex)))
     runs = []
     dr_run = cone._dr_run
 
-    def recording(*args, **kwargs):
-        runs.append(kwargs.get("separate", False))
-        return dr_run(*args, **kwargs)
+    def recording(coefs, k_hat, tol):
+        runs.append(len(coefs))
+        return dr_run(coefs, k_hat, tol)
 
     monkeypatch.setattr(cone, "_dr_run", recording)
     got = primal_feasibility(problem)
     assert isinstance(got, Undecided)
-    assert runs == [True]
+    assert runs == [321]
     assert got.iterations == 1
 
 
