@@ -229,6 +229,16 @@ def _finite_number(text: str) -> float:
     return value
 
 
+# Config fields read as counts.  JSON floats and booleans are rejected, not
+# truncated: 2.5 angles or ``true`` as a block dimension is an input error.
+_COUNT_FIELDS = ("angles", "n_max", "block_dim", "validation_radii",
+                 "validation_angles")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_config(args, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config:
@@ -246,6 +256,13 @@ def _load_config(args, defaults: dict) -> dict:
         value = getattr(args, flag)
         if value is not None:
             cfg[flag] = list(value) if flag == "grid" else value
+    for key in _COUNT_FIELDS:
+        if key in cfg and not _is_int(cfg[key]):
+            raise ValueError("config field '%s' must be an integer" % key)
+    grid = cfg.get("grid")
+    if grid is not None and not (isinstance(grid, list)
+                                 and all(map(_is_int, grid))):
+        raise ValueError("config field 'grid' must be a list of integers")
     tol = cfg.get("tol")
     if tol is not None and not (isinstance(tol, (int, float))
                                 and 0 < tol < math.inf):
@@ -262,7 +279,7 @@ def _sample_set(cfg) -> SampleSet:
 
 def _generator_grid(cfg) -> np.ndarray:
     radii, angles = cfg["grid"]
-    return default_grid(int(radii), int(angles))
+    return default_grid(radii, angles)
 
 
 def _restriction(cfg):
@@ -296,7 +313,7 @@ def cmd_counterexample(args) -> int:
     f_values = f_eval(mb, samples.array())
     target = sigma_kernel(f_values, samples)
     problem = ConeProblem(samples, 2, _generator_grid(cfg), target)
-    radii, angles = int(cfg["validation_radii"]), int(cfg["validation_angles"])
+    radii, angles = cfg["validation_radii"], cfg["validation_angles"]
     cert = dual_search(problem, radii, angles)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -376,7 +393,7 @@ def cmd_cone(args) -> int:
         raise ValueError("cone: a grid has no effect when a restriction is "
                          "given")
     samples = _sample_set(cfg)
-    d = int(cfg["block_dim"])
+    d = cfg["block_dim"]
     flat = decode_hermitian(cfg["target"])
     target = MatrixKernel(samples, d, flat)
     problem = ConeProblem(samples, d, _generator_grid(cfg), target,
@@ -421,7 +438,7 @@ def cmd_variety(args) -> int:
         cfg["s"] = encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         cfg["t"] = encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))
     pair = dilation.VarietyPair(decode_matrix(cfg["s"]), decode_matrix(cfg["t"]))
-    verdict = dilation.variety_verdict(pair, int(cfg["angles"]), cfg["tol"])
+    verdict = dilation.variety_verdict(pair, cfg["angles"], cfg["tol"])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "variety",
@@ -495,21 +512,21 @@ def _ccverify_default():
     u, _, embed = dilation.truncated_shift(8)
     x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
     y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
-    return x, y, u, embed, 5
+    return x, y, u, embed
 
 
 def cmd_ccverify(args) -> int:
     cfg = _load_config(args, {"x": None, "y": None, "u": None, "embed": None,
                               "n_max": 5, "tol": 1e-10})
-    if cfg["x"] is None:
-        x, y, u, embed, n_max = _ccverify_default()
-        cfg["x"], cfg["y"] = encode_matrix(x), encode_matrix(y)
-        cfg["u"], cfg["embed"] = encode_matrix(u), encode_matrix(embed)
-        cfg["n_max"] = n_max
+    matrices = ("x", "y", "u", "embed")
+    if all(cfg[key] is None for key in matrices):
+        for key, value in zip(matrices, _ccverify_default()):
+            cfg[key] = encode_matrix(value)
+    elif any(cfg[key] is None for key in matrices):
+        raise ValueError("ccverify needs all of x, y, u and embed, or none")
     report = dilation.cc_dilation_verify(
         decode_matrix(cfg["x"]), decode_matrix(cfg["y"]),
-        decode_matrix(cfg["u"]), decode_matrix(cfg["embed"]),
-        int(cfg["n_max"]))
+        decode_matrix(cfg["u"]), decode_matrix(cfg["embed"]), cfg["n_max"])
     ok = report.ok(cfg["tol"])
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -57,8 +57,6 @@ ADMM_CHECK = 50
 ADMM_STALL = 1e-5        # relative violation change that ends ADMM
 POLISH_MARGIN = 1e-5     # margin floor the polish enforces on the work grid
 POLISH_ITERS = 2500
-DEEPEN_FACTOR = 1.6      # each deepening polish asks for this much more
-MAX_DEEPEN = 6
 MARGIN_FLOOR = 1e-5      # audit margin that identity mixing restores
 WORKING_LIMIT = 48       # generators in the thinned working set
 
@@ -408,45 +406,54 @@ def _project_affine(w_tilde, ys, conj_coefs, denom_s, trace_target):
 
 
 def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor):
-    """Dykstra refinement: margins >= margin_floor, trace(W Sigma) <= v_target.
+    """Anytime Dykstra search for W with trace(W Sigma) near ``v_target``.
 
     Cycles three sets in product space: the affine slab tying Y_g to W with
     trace W = n, the PSD product cone (W itself and every Y_g - margin I),
     and the violation halfspace.  Corrections are kept for the two non-affine
-    sets.  Returns the polished W or None when the target violation is not
-    reachable (distance plateau).
+    sets.  Every 25 iterations the affine-projected W is mixed toward I until
+    its margins over the work grid clear 0.25 ``margin_floor`` (see
+    ``_mixed_with_identity``), and the mix is kept when it is PSD and pairs
+    lower with Sigma than the best so far (``w0`` at the start).
 
-    The plateau test runs every 200 iterations from iteration 600 on and
-    gives up when the cone step's gap is still above 0.8 of its value 400
-    iterations earlier; a polish that will succeed shrinks it far faster.
+    Returns a kept W as soon as it lies in the band
+    v_target + 0.1 |v_target|; otherwise, at the plateau test or the
+    iteration cap, the best kept W, or None when nothing beat ``w0``.  The
+    plateau test runs every 100 iterations from iteration 200 on and stops
+    when the cone step's gap is still above 0.8 of its value 100 iterations
+    earlier; a polish still making headway shrinks it far faster.
     """
-    g, n = conj_coefs.shape[0], conj_coefs.shape[1]
-    denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
     sig_norm2 = float(np.sum(np.abs(sigma_hat) ** 2))
     if sig_norm2 == 0.0:
         return None
+    n = conj_coefs.shape[1]
+    coefs = np.conj(conj_coefs)
+    margin_identity = np.min(np.real(np.diagonal(coefs, axis1=1, axis2=2)),
+                             axis=1)
+    denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
+    best = None
+    best_viol = float(np.real(np.sum(w0 * np.conj(sigma_hat))))
     w = w0.copy()
     ys = w[None, :, :] * conj_coefs
     corr_cone_w = np.zeros_like(w)
     corr_cone_y = np.zeros_like(ys)
     corr_half = np.zeros_like(w)
     eye = np.eye(n)
-    gap_hist: list[float] = []
+    last_gap = math.inf
     for it in range(1, POLISH_ITERS + 1):
         w, ys = _project_affine(w, ys, conj_coefs, denom_s, trace_target)
         if it % 25 == 0:
             # The affine-projected W satisfies the equality constraints
-            # exactly; accept once its actual margins and violation clear
-            # usable fractions of the requested floors.
-            viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
-            if viol <= v_target + 0.1 * abs(v_target):
-                mins = margins(w, np.conj(conj_coefs))
-                scale = 1.0 + float(np.abs(w).max())
-                if (
-                    float(np.min(mins)) >= 0.25 * margin_floor
-                    and linalg.min_eig(w) >= -1e-9 * scale
-                ):
-                    return linalg.from_lower(w)
+            # exactly; mixing repairs its margins at a small violation cost.
+            mixed, vals, viol = _mixed_with_identity(
+                w, sigma_hat, coefs, margin_identity, 0.25 * margin_floor)
+            scale = 1.0 + float(np.abs(mixed).max())
+            if (viol < best_viol
+                    and float(np.min(vals)) >= 0.25 * margin_floor
+                    and linalg.min_eig(mixed) >= -1e-9 * scale):
+                best, best_viol = linalg.from_lower(mixed), viol
+                if viol <= v_target + 0.1 * abs(v_target):
+                    return best
 
         shifted_w = w + corr_cone_w
         shifted_y = ys + corr_cone_y
@@ -470,17 +477,11 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
         corr_half = shifted_w - new_w
         w = new_w
 
-        gap_hist.append(gap)
-        if it >= 600 and it % 200 == 0:
-            old = gap_hist[it - 400]
-            if gap > 1e-8 * n and gap > 0.8 * old:
-                return None  # plateau: the requested violation is unreachable
-    w, ys = _project_affine(w, ys, conj_coefs, denom_s, trace_target)
-    viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
-    mins = margins(w, np.conj(conj_coefs))
-    if viol <= v_target + 0.1 * abs(v_target) and float(np.min(mins)) >= 0.0:
-        return linalg.from_lower(w)
-    return None
+        if it % 100 == 0:
+            if it >= 200 and gap > 1e-8 * n and gap > 0.8 * last_gap:
+                break  # plateau: the requested violation is out of reach
+            last_gap = gap
+    return best
 
 
 def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
@@ -587,22 +588,22 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     on a thinned working constraint set; (2) the iterate is made exactly
     PSD, renormalized, and mixed slightly toward the identity, whose margin
     is uniformly large, which converts approximate feasibility into a
-    strict uniform margin over the dense audit grid; (3) a Dykstra polish
-    re-tightens the violation and a greedy deepening loop pushes it as far
-    as repeated polishes allow; (4) the final candidate is re-audited and
-    re-mixed, and only a candidate passing every certificate invariant is
-    returned.  Returns None when no certificate emerges; that outcome never
-    claims membership.  ``radii`` x ``angles`` is the dense audit grid of
-    an unrestricted problem (see ``validation_grid``).
+    strict uniform margin over the dense audit grid; (3) one anytime
+    Dykstra polish (see ``_dual_polish``), aimed at max(2 v0, L) for the
+    mixed violation v0 and the ADMM floor L below, re-tightens the
+    violation; (4) the polished W is re-audited and re-mixed, and only a
+    candidate passing every certificate invariant, the better of the
+    stage (2) and stage (4) ones, is returned.  Returns None when no
+    certificate emerges; that outcome never claims membership.
+    ``radii`` x ``angles`` is the dense audit grid of an unrestricted
+    problem (see ``validation_grid``).
 
     Polish gate: ADMM also returns a floor L with trace(W K) >= L for every
-    W in the working-set dual cone, which contains every W a polish asks
-    for.  A polish whose target v lies below L, with the slack
-    v < L - GRID_EPS |L| for the rounding in L, asks for an empty set, so
-    it is skipped, and the deepening loop stops there.  Such a polish could
-    at best have returned a W inside its 10% acceptance band, and that W
-    still pairs at or above L: the skip gives up at most the gap between
-    the current violation and L.
+    W in the working-set dual cone, which contains every W a polish can
+    return.  When even 1.05 v0 lies below L, with the slack
+    GRID_EPS |L| for the rounding in L, no W in the working-set dual cone
+    improves on v0 by 5%, so the polish is skipped.  The skip gives up at
+    most the gap between v0 and L.
     """
     samples = problem.sample_set
     d = problem.block_dim
@@ -638,30 +639,17 @@ def dual_search(problem: ConeProblem, radii: int = 64,
         return None
     best = (w, float(np.min(audit_vals)), viol)
 
-    def reachable(target):
-        return target >= floor - GRID_EPS * abs(floor)
-
-    polished = None
-    if reachable(viol * 1.05):
-        polished = _dual_polish(w, sigma_hat, conj_coefs, n, viol * 1.05,
-                                POLISH_MARGIN)
-    if polished is not None:
-        v_cur = float(np.real(np.sum(polished * np.conj(sigma_hat))))
-        w_cur = polished
-        for _ in range(MAX_DEEPEN):
-            if not reachable(v_cur * DEEPEN_FACTOR):
-                break
-            deeper = _dual_polish(w_cur, sigma_hat, conj_coefs, n,
-                                  v_cur * DEEPEN_FACTOR, POLISH_MARGIN)
-            if deeper is None:
-                break
-            w_cur = deeper
-            v_cur = float(np.real(np.sum(w_cur * np.conj(sigma_hat))))
-        w2, audit2, viol2 = _mixed_with_identity(
-            w_cur, sigma_hat, audit_coefs, margin_identity, MARGIN_FLOOR
-        )
-        if viol2 <= -MIN_VIOLATION and float(np.min(audit2)) >= -GRID_EPS:
-            if viol2 < best[2]:
+    # One anytime polish, aimed at twice the mixed violation but never
+    # below the floor; it runs only if a 5% gain is reachable at all.
+    if 1.05 * viol >= floor - GRID_EPS * abs(floor):
+        polished = _dual_polish(w, sigma_hat, conj_coefs, n,
+                                max(2.0 * viol, floor), POLISH_MARGIN)
+        if polished is not None:
+            w2, audit2, viol2 = _mixed_with_identity(
+                polished, sigma_hat, audit_coefs, margin_identity,
+                MARGIN_FLOOR)
+            if (viol2 <= -MIN_VIOLATION and float(np.min(audit2)) >= -GRID_EPS
+                    and viol2 < best[2]):
                 best = (w2, float(np.min(audit2)), viol2)
 
     w_fin, worst, violation = best

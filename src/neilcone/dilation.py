@@ -172,6 +172,8 @@ def cc_dilation_verify(x, y, u, embed, n_max: int) -> CompressionReport:
     The commutator and the gap of x^3 = y^2 are reported alongside, since the
     deviations are only well defined up to those relations.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     x = _as_square(x, "x")
     y = _as_square(y, "y")
     u = _as_square(u, "u")

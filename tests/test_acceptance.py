@@ -61,8 +61,10 @@ def test_counterexample_certificate(flagship):
     code, data, wall = flagship
     rep = data.get("representation", {})
     val = data.get("validation", {})
+    cert = data.get("certificate", {})
     checks = {
         "exit_zero": code == 0 and data.get("status") == "certified",
+        "violation": cert.get("violation", 0.0) <= -2.4e-2,
         "fine_margin": val.get("worst_margin", -1.0) >= -1e-6,
         "deficiency": rep.get("deficiency", 0.0) <= -1e-4,
         "test_norms": rep.get("max_test_norm", 2.0) <= 1.0 + 1e-6,

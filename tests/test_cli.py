@@ -139,6 +139,18 @@ def test_ccverify_mismatch_reports(tmp_path):
     assert data["max_deviation"] > 1e-3
 
 
+def test_ccverify_reads_n_max_and_rejects_partial_matrices(tmp_path, capsys):
+    code, data = run_raw_config(tmp_path, "ccverify", '{"n_max": 3}')
+    assert code == 0
+    assert [n for n, _ in data["deviations"]] == [0, 2, 3]
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    code, data = run_raw_config(partial, "ccverify",
+                                json.dumps({"u": cli.encode_matrix(np.eye(2))}))
+    assert (code, data) == (1, None)
+    assert "all of x, y, u and embed, or none" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -236,6 +248,19 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("command, text, message", [
     ("pick", '{"nodes": 5, "targets": [0.0]}', "not iterable"),
     ("variety", '{"tol": "abc"}', "tolerance must be a positive finite"),
+    ("variety", '{"angles": 2.5}', "field 'angles' must be an integer"),
+    ("cone", '{"block_dim": 1.7}', "field 'block_dim' must be an integer"),
+    ("cone", '{"block_dim": true}', "field 'block_dim' must be an integer"),
+    ("counterexample", '{"grid": [2.9, 4]}',
+     "field 'grid' must be a list of integers"),
+    ("counterexample", '{"validation_radii": 8.0}',
+     "field 'validation_radii' must be an integer"),
+    ("counterexample", '{"validation_angles": false}',
+     "field 'validation_angles' must be an integer"),
+    ("ccverify", '{"n_max": 4.0}', "field 'n_max' must be an integer"),
+    # Degree 0 alone compares I with I: a "compressed" would check nothing.
+    ("ccverify", '{"n_max": 0}', "n_max must be at least 1"),
+    ("ccverify", '{"n_max": -2}', "n_max must be at least 1"),
 ])
 def test_wrong_config_types_exit_one(tmp_path, capsys, command, text, message):
     assert run_raw_config(tmp_path, command, text) == (1, None)
@@ -400,12 +425,27 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
         return audit(cert, problem, **kwargs)
 
     monkeypatch.setattr(cli, "validate_certificate", counting)
+    # The dual search makes at most one polish.
+    calls = []
+    polish, search = cone._dual_polish, cli.dual_search
+
+    def counting_polish(*args):
+        calls.append("polish")
+        return polish(*args)
+
+    def counting_search(*args):
+        calls.append("search")
+        return search(*args)
+
+    monkeypatch.setattr(cone, "_dual_polish", counting_polish)
+    monkeypatch.setattr(cli, "dual_search", counting_search)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "samples": [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]], "grid": [2, 8],
         "validation_radii": 4, "validation_angles": 8}))
     code, data = run_cli(tmp_path, "counterexample", "--config", str(cfg))
     assert (code, data["status"]) == (0, "certified")
+    assert calls in (["search"], ["search", "polish"])
     assert len(audited) == 1
     emitted = cli.decode_certificate(data["certificate"])
     assert np.array_equal(audited[0], emitted.w)

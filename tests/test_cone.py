@@ -367,8 +367,8 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
     problem, _ = perturbed_problem(11)
     n = problem.dim
     sigma = problem.target.flat
-    conj_coefs = np.conj(_generator_data(problem.grid, problem.sample_set,
-                                         problem.block_dim)[1])
+    coefs = _generator_data(problem.grid, problem.sample_set,
+                            problem.block_dim)[1]
     # trace(W sigma) >= n * min_eig(sigma) for every PSD W of trace n.
     unreachable = 2.0 * n * float(np.min(np.linalg.eigvalsh(sigma))) - 1.0
     calls = []
@@ -379,10 +379,18 @@ def test_dual_polish_gives_up_at_first_plateau_check(monkeypatch):
         return project(stack)
 
     monkeypatch.setattr(linalg, "psd_project_batch", counting)
-    got = _dual_polish(np.eye(n, dtype=complex), sigma, conj_coefs, n,
-                       unreachable, POLISH_MARGIN)
-    assert got is None
-    assert len(calls) == 600
+    start = np.eye(n, dtype=complex)
+    got = _dual_polish(start, sigma, np.conj(coefs), n, unreachable,
+                       POLISH_MARGIN)
+    assert len(calls) == 200
+    if got is not None:
+        # Anytime contract: the best kept W is PSD, clears a quarter of the
+        # margin floor on its work grid and pairs below its start.
+        scale = 1.0 + float(np.abs(got).max())
+        assert np.linalg.eigvalsh(got)[0] >= -1e-9 * scale
+        assert np.min(margins(got, coefs)) >= 0.25 * POLISH_MARGIN
+        pairing = float(np.real(np.sum(got * np.conj(sigma))))
+        assert pairing < float(np.real(np.trace(start @ sigma)))
 
 
 def recording_admm_floor(monkeypatch):
