@@ -264,10 +264,20 @@ def _load_config(args, defaults: dict) -> dict:
                                  and all(map(_is_int, grid))):
         raise ValueError("config field 'grid' must be a list of integers")
     tol = cfg.get("tol")
-    if tol is not None and not (isinstance(tol, (int, float))
+    if tol is not None and not ((_is_int(tol) or isinstance(tol, float))
                                 and 0 < tol < math.inf):
         raise ValueError("tolerance must be a positive finite number")
     return cfg
+
+
+def _all_or_none(cfg, command: str, keys, defaults) -> None:
+    """Defaults for all of the inputs ``keys`` or none; some is an error."""
+    given = [cfg[key] is not None for key in keys]
+    if not any(given):
+        cfg.update(zip(keys, defaults()))
+    elif not all(given):
+        raise ValueError("%s needs all of %s and %s, or none"
+                         % (command, ", ".join(keys[:-1]), keys[-1]))
 
 
 def _sample_set(cfg) -> SampleSet:
@@ -307,7 +317,8 @@ def cmd_counterexample(args) -> int:
         "norm_cap": 1e-6,
     })
     samples = _sample_set(cfg)
-    u = decode_matrix(cfg["unitary"]) if cfg["unitary"] else kernels.DEFAULT_UNITARY
+    u = (kernels.DEFAULT_UNITARY if cfg["unitary"] is None
+         else decode_matrix(cfg["unitary"]))
     mb = MatrixBlaschke(decode_complex(cfg["lambda1"]),
                         decode_complex(cfg["lambda2"]), u)
     f_values = f_eval(mb, samples.array())
@@ -403,10 +414,9 @@ def cmd_cone(args) -> int:
 
 def cmd_naimark(args) -> int:
     cfg = _load_config(args, {"a_list": None, "b_list": None})
-    if cfg["a_list"] is None:
-        half = [[[0.5, 0.0]]]
-        cfg["a_list"] = [half, half]
-        cfg["b_list"] = [half, half]
+    half = [[[0.5, 0.0]]]
+    _all_or_none(cfg, "naimark", ("a_list", "b_list"),
+                 lambda: ([half, half], [half, half]))
     a = tuple(decode_hermitian(m) for m in cfg["a_list"])
     b = tuple(decode_hermitian(m) for m in cfg["b_list"])
     inp = dilation.NaimarkInput(a, b)
@@ -434,9 +444,9 @@ def cmd_naimark(args) -> int:
 def cmd_variety(args) -> int:
     cfg = _load_config(args, {"s": None, "t": None, "angles": 720,
                               "tol": 1e-8})
-    if cfg["s"] is None:
-        cfg["s"] = encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        cfg["t"] = encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))
+    _all_or_none(cfg, "variety", ("s", "t"), lambda: (
+        encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))))
     pair = dilation.VarietyPair(decode_matrix(cfg["s"]), decode_matrix(cfg["t"]))
     verdict = dilation.variety_verdict(pair, cfg["angles"], cfg["tol"])
     payload = {
@@ -512,18 +522,13 @@ def _ccverify_default():
     u, _, embed = dilation.truncated_shift(8)
     x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
     y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
-    return x, y, u, embed
+    return map(encode_matrix, (x, y, u, embed))
 
 
 def cmd_ccverify(args) -> int:
     cfg = _load_config(args, {"x": None, "y": None, "u": None, "embed": None,
                               "n_max": 5, "tol": 1e-10})
-    matrices = ("x", "y", "u", "embed")
-    if all(cfg[key] is None for key in matrices):
-        for key, value in zip(matrices, _ccverify_default()):
-            cfg[key] = encode_matrix(value)
-    elif any(cfg[key] is None for key in matrices):
-        raise ValueError("ccverify needs all of x, y, u and embed, or none")
+    _all_or_none(cfg, "ccverify", ("x", "y", "u", "embed"), _ccverify_default)
     report = dilation.cc_dilation_verify(
         decode_matrix(cfg["x"]), decode_matrix(cfg["y"]),
         decode_matrix(cfg["u"]), decode_matrix(cfg["embed"]), cfg["n_max"])
@@ -611,7 +616,7 @@ def main(argv=None) -> int:
         # error; numpy's floating-point warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args)
-    except (ValueError, TypeError, OverflowError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

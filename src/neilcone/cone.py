@@ -319,10 +319,7 @@ def _separating(theta, k_hat, coefs, tol):
     if not tr > 0.0:
         return None
     w *= w.shape[0] / tr
-    margin_identity = np.min(np.real(np.diagonal(coefs, axis1=1, axis2=2)),
-                             axis=1)
-    w, vals, viol = _mixed_with_identity(w, k_hat, coefs, margin_identity,
-                                         MARGIN_FLOOR)
+    w, vals, viol = _mixed_with_identity(w, k_hat, coefs, MARGIN_FLOOR)
     if (float(np.min(vals)) >= 0.0
             and viol < -tol * float(np.linalg.norm(w)) - MIN_VIOLATION):
         return w
@@ -428,8 +425,6 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
         return None
     n = conj_coefs.shape[1]
     coefs = np.conj(conj_coefs)
-    margin_identity = np.min(np.real(np.diagonal(coefs, axis1=1, axis2=2)),
-                             axis=1)
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
     best = None
     best_viol = float(np.real(np.sum(w0 * np.conj(sigma_hat))))
@@ -446,7 +441,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
             # The affine-projected W satisfies the equality constraints
             # exactly; mixing repairs its margins at a small violation cost.
             mixed, vals, viol = _mixed_with_identity(
-                w, sigma_hat, coefs, margin_identity, 0.25 * margin_floor)
+                w, sigma_hat, coefs, 0.25 * margin_floor)
             scale = 1.0 + float(np.abs(mixed).max())
             if (viol < best_viol
                     and float(np.min(vals)) >= 0.25 * margin_floor
@@ -503,9 +498,9 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     """Approximately minimize trace(W K) over the dual cone by ADMM.
 
     Splitting: W against slack copies S_0 = W and S_g = W - D_g* W D_g, all
-    constrained PSD, with trace W = n.  The W-update is an entrywise least
-    squares (the generator action is a Hadamard product) plus a rank-one
-    trace correction; the slack update is one batched PSD projection.  Over-
+    constrained PSD, with trace W = n.  The W-update is ``_project_affine``,
+    the polish's entrywise least squares with its rank-one trace correction;
+    the slack update is one batched PSD projection.  Over-
     relaxation and residual balancing are standard accelerants.  First-order
     accuracy is all that is needed here: the result seeds a feasibility
     polish and an identity-mixing step that restore exact constraints.
@@ -521,20 +516,15 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     """
     beta = ADMM_BETA
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
-    inv_diag = 1.0 / np.real(np.diagonal(denom_s))
-    inv_diag_sum = float(np.sum(inv_diag))
     w = np.eye(n, dtype=complex)
     s = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)
     u = np.zeros_like(s)
     last_viol = math.inf
     for it in range(1, ADMM_ITERS + 1):
         sm = s - u
-        rhs = sm[0] + np.einsum("gij,gij->ij", np.conj(conj_coefs), sm[1:])
-        rhs -= sigma_hat / beta
-        w = rhs / denom_s
-        mu = (n - float(np.real(np.trace(w)))) / inv_diag_sum
-        w = linalg.hermitian_part(w + np.diag(mu * inv_diag))
-        ax = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)
+        w, ys = _project_affine(sm[0] - sigma_hat / beta, sm[1:], conj_coefs,
+                                denom_s, n)
+        ax = np.concatenate([w[None], ys], axis=0)
         ax_r = ADMM_RELAX * ax + (1.0 - ADMM_RELAX) * s
         s_old = s
         s = linalg.psd_project_batch(ax_r + u)
@@ -556,25 +546,24 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     return w, n * linalg.min_eig(sigma_hat + beta * slack)
 
 
-def _mixed_with_identity(w, sigma_hat, audit_coefs, margin_identity,
-                         floor: float):
+def _mixed_with_identity(w, sigma_hat, audit_coefs, floor: float):
     """Blend W toward I until audit margins clear ``floor`` uniformly.
 
     margins are concave under mixing: margin((1-t)W + tI) >=
-    (1-t) margin(W) + t margin(I), and margin(I) >= 1 - max|x|^4 is large,
-    so a small t buys a uniform floor at a proportional violation cost.
+    (1-t) margin(W) + t margin(I), and margin(I), the least diagonal entry
+    of ``audit_coefs`` (at least 1 - max|x|^4), is large, so a small t buys
+    a uniform floor at a proportional violation cost.
     Returns (w_mixed, audit_margins, violation).
     """
-    n = w.shape[0]
     vals = margins(w, audit_coefs)
     worst = float(np.min(vals))
     if worst >= floor:
         viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
         return w, vals, viol
-    deficit = floor - worst
-    t = deficit / (float(np.min(margin_identity)) - worst)
+    margin_identity = float(np.min(np.real(np.einsum("gii->gi", audit_coefs))))
+    t = (floor - worst) / (margin_identity - worst)
     t = min(max(t, 0.0), 1.0)
-    mixed = (1.0 - t) * w + t * np.eye(n)
+    mixed = (1.0 - t) * w + t * np.eye(w.shape[0])
     vals = margins(mixed, audit_coefs)
     viol = float(np.real(np.sum(mixed * np.conj(sigma_hat))))
     return mixed, vals, viol
@@ -591,10 +580,11 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     strict uniform margin over the dense audit grid; (3) one anytime
     Dykstra polish (see ``_dual_polish``), aimed at max(2 v0, L) for the
     mixed violation v0 and the ADMM floor L below, re-tightens the
-    violation; (4) the polished W is re-audited and re-mixed, and only a
-    candidate passing every certificate invariant, the better of the
-    stage (2) and stage (4) ones, is returned.  Returns None when no
-    certificate emerges; that outcome never claims membership.
+    violation; (4) the polished W is re-audited and re-mixed.  Each of the
+    at most two candidates, from stages (2) and (4), is offered to
+    ``DualCertificate``, the one certificate gate, and the lower-violation
+    one it accepts is returned.  Returns None when it accepts neither; that
+    outcome never claims membership.
     ``radii`` x ``angles`` is the dense audit grid of an unrestricted
     problem (see ``validation_grid``).
 
@@ -619,8 +609,7 @@ def dual_search(problem: ConeProblem, radii: int = 64,
         # charge, not just the dense rings.
         dense = validation_grid(radii, angles)
         audit_grid = np.concatenate([audit_grid, dense[np.isfinite(dense)]])
-    audit_diags, audit_coefs = _generator_data(audit_grid, samples, d)
-    margin_identity = 1.0 - np.max(np.abs(audit_diags) ** 2, axis=1)
+    audit_coefs = _generator_data(audit_grid, samples, d)[1]
 
     work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
@@ -632,12 +621,11 @@ def dual_search(problem: ConeProblem, radii: int = 64,
         return None
     w *= n / tr
 
-    w, audit_vals, viol = _mixed_with_identity(
-        w, sigma_hat, audit_coefs, margin_identity, MARGIN_FLOOR
-    )
+    w, audit_vals, viol = _mixed_with_identity(w, sigma_hat, audit_coefs,
+                                               MARGIN_FLOOR)
     if not viol <= -MIN_VIOLATION:
         return None
-    best = (w, float(np.min(audit_vals)), viol)
+    candidates = [(w, audit_vals, viol)]
 
     # One anytime polish, aimed at twice the mixed violation but never
     # below the floor; it runs only if a 5% gain is reachable at all.
@@ -645,19 +633,18 @@ def dual_search(problem: ConeProblem, radii: int = 64,
         polished = _dual_polish(w, sigma_hat, conj_coefs, n,
                                 max(2.0 * viol, floor), POLISH_MARGIN)
         if polished is not None:
-            w2, audit2, viol2 = _mixed_with_identity(
-                polished, sigma_hat, audit_coefs, margin_identity,
-                MARGIN_FLOOR)
-            if (viol2 <= -MIN_VIOLATION and float(np.min(audit2)) >= -GRID_EPS
-                    and viol2 < best[2]):
-                best = (w2, float(np.min(audit2)), viol2)
+            candidates.append(_mixed_with_identity(
+                polished, sigma_hat, audit_coefs, MARGIN_FLOOR))
 
-    w_fin, worst, violation = best
-    scale = 1.0 + float(np.abs(w_fin).max())
-    if not (worst >= -GRID_EPS and violation <= -MIN_VIOLATION
-            and linalg.min_eig(w_fin) >= -GRID_EPS * scale):
-        return None
-    return DualCertificate(w_fin, worst, violation, len(audit_grid))
+    # Lowest violation first; a stable sort keeps the stage (2) candidate
+    # ahead on a tie.
+    for w_c, vals, viol_c in sorted(candidates, key=lambda c: c[2]):
+        try:
+            return DualCertificate(w_c, float(np.min(vals)), viol_c,
+                                   len(audit_grid))
+        except ValueError:
+            continue
+    return None
 
 
 def validate_certificate(cert: DualCertificate, problem: ConeProblem,

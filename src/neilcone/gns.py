@@ -100,63 +100,20 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1) -> GnsSpace
     )
 
 
-def _stacked_diag(space: GnsSpace, g_values) -> np.ndarray:
-    g = np.asarray(g_values, dtype=complex)
-    if g.shape != (len(space.sample_set),):
-        raise ValueError(
-            "expected one multiplier value per sample point (%d), got %r"
-            % (len(space.sample_set), g.shape)
-        )
-    return np.repeat(g, space.block_dim)
+def _mult_matrices(space: GnsSpace, values_batch):
+    """(matrices, residuals) of quotient multiplication, one per row.
 
-
-def mult_operator(space: GnsSpace, g_values) -> RepOperator:
-    """Matrix of pointwise multiplication by ``g_values`` on the quotient.
-
-    The residual measures how much the multiplication moves the carrier
-    subspace of the Gram matrix, scaled by the spread of the retained
-    spectrum; beyond WELLDEF_TOL the operator is not well defined on the
-    quotient and the functional is rejected rather than projected.
-    """
-    dg = _stacked_diag(space, g_values)
-    if space.rank == 0:
-        return RepOperator(matrix=np.zeros((0, 0), dtype=complex),
-                           welldef_residual=0.0)
-    e = space.factor
-    basis = e / np.sqrt(space.eigs)[None, :]
-    moved = dg[:, None] * basis
-    leak = moved - basis @ (basis.conj().T @ moved)
-    spread = math.sqrt(float(space.eigs[0] / space.eigs[-1]))
-    residual = linalg.op_norm(leak) * spread
-    if residual > WELLDEF_TOL:
-        raise ValueError(
-            "multiplication leaks %.3e out of the quotient carrier (tolerance "
-            "%.1e); the functional does not define a representation"
-            % (residual, WELLDEF_TOL)
-        )
-    matrix = (e.conj().T @ (dg[:, None] * e)) / space.eigs[None, :]
-    return RepOperator(matrix=matrix, welldef_residual=residual)
-
-
-def rep_norm(space: GnsSpace, op: RepOperator) -> float:
-    """Operator norm of a multiplier; coordinates are orthonormal already."""
-    if op.matrix.shape != (space.rank, space.rank):
-        raise ValueError("operator does not act on this space")
-    return linalg.op_norm(op.matrix)
-
-
-def rep_norm_sweep(space: GnsSpace, values_batch) -> np.ndarray:
-    """Multiplier norms for a whole family of functions at once.
-
-    ``values_batch`` has one row of per-sample values per function.  Same
-    well-definedness gate as mult_operator, applied to every row; the batch
-    is rejected as soon as one member leaks out of the carrier.
+    ``values_batch`` has one row of per-sample values per multiplier.  The
+    residual of a row measures how much its multiplication moves the
+    carrier subspace of the Gram matrix, scaled by the spread of the
+    retained spectrum; beyond WELLDEF_TOL the operator is not well defined
+    on the quotient, and the whole batch is rejected rather than projected.
     """
     vals = np.asarray(values_batch, dtype=complex)
     if vals.ndim != 2 or vals.shape[1] != len(space.sample_set):
         raise ValueError("need one value per sample point in every row")
     if space.rank == 0:
-        return np.zeros(vals.shape[0])
+        return np.zeros((len(vals), 0, 0), dtype=complex), np.zeros(len(vals))
     dg = np.repeat(vals, space.block_dim, axis=1)  # (K, n)
     e = space.factor
     basis = e / np.sqrt(space.eigs)[None, :]
@@ -168,10 +125,29 @@ def rep_norm_sweep(space: GnsSpace, values_batch) -> np.ndarray:
     if residuals[worst] > WELLDEF_TOL:
         raise ValueError(
             "multiplication leaks %.3e out of the quotient carrier (tolerance "
-            "%.1e) for sweep member %d" % (residuals[worst], WELLDEF_TOL, worst)
+            "%.1e) for multiplier %d" % (residuals[worst], WELLDEF_TOL, worst)
         )
     mats = (e.conj().T[None] @ moved) / np.sqrt(space.eigs)[None, None, :]
-    return linalg.op_norm_batch(mats)
+    return mats, residuals
+
+
+def mult_operator(space: GnsSpace, g_values) -> RepOperator:
+    """Multiplication by ``g_values``, gated as in ``_mult_matrices``."""
+    mats, residuals = _mult_matrices(space, np.asarray(g_values)[None])
+    return RepOperator(matrix=mats[0], welldef_residual=float(residuals[0]))
+
+
+def rep_norm(space: GnsSpace, op: RepOperator) -> float:
+    """Operator norm of a multiplier; coordinates are orthonormal already."""
+    if op.matrix.shape != (space.rank, space.rank):
+        raise ValueError("operator does not act on this space")
+    return linalg.op_norm(op.matrix)
+
+
+def rep_norm_sweep(space: GnsSpace, values_batch) -> np.ndarray:
+    """Multiplier norms for a family of functions, one row of per-sample
+    values each; the rows pass the gate of ``_mult_matrices`` as one batch."""
+    return linalg.op_norm_batch(_mult_matrices(space, values_batch)[0])
 
 
 def amplified_deficiency(space: GnsSpace, f_values: np.ndarray) -> float:
@@ -193,12 +169,10 @@ def amplified_deficiency(space: GnsSpace, f_values: np.ndarray) -> float:
             "expected %d sample values of a 2x2 function, got %r"
             % (n_samples, f.shape)
         )
-    blocks = [[mult_operator(space, f[:, b, a]).matrix for b in range(2)]
-              for a in range(2)]
-    amp = np.block(blocks)
-    e1 = np.tile(np.array([1.0, 0.0], dtype=complex), n_samples)
-    e2 = np.tile(np.array([0.0, 1.0], dtype=complex), n_samples)
-    h = np.concatenate([space.coords(e1), space.coords(e2)])
+    # Row 2a + b multiplies by entry (b, a): the transposed function.
+    mats = _mult_matrices(space, f.transpose(2, 1, 0).reshape(4, n_samples))[0]
+    amp = np.block([[mats[0], mats[1]], [mats[2], mats[3]]])
+    h = np.concatenate([space.coords(np.tile(e, n_samples)) for e in np.eye(2)])
     image = amp @ h
     return float(np.real(np.vdot(h, h) - np.vdot(image, image)))
 
@@ -229,27 +203,24 @@ def build_noxy(samples: SampleSet, w: np.ndarray, witness_values):
 
     ``w`` should be positive for the squaring and cubing generators alone
     (the restricted cone); X and Y are then the multipliers of z^2 and z^3
-    on the quotient.  They commute and satisfy X^3 = Y^2 because both sides
-    multiply by z^6.  The report records their norms, the relation residuals,
-    and the quotient norm of the scalar witness, which exceeds one exactly
-    when the functional separates the witness's defect kernel from the
+    on the quotient, built with the witness's in one ``_mult_matrices``
+    batch.  They commute and satisfy X^3 = Y^2 because both sides multiply
+    by z^6.  The report records their norms, the relation residuals, and
+    the quotient norm of the scalar witness, which exceeds one exactly when
+    the functional separates the witness's defect kernel from the
     restricted cone.  Returns (X, Y, report).
     """
     space = build_gns(w, samples, block_dim=1)
     pts = samples.array()
-    x_op = mult_operator(space, pts ** 2)
-    y_op = mult_operator(space, pts ** 3)
-    f_op = mult_operator(space, np.asarray(witness_values, dtype=complex))
-    x = x_op.matrix
-    y = y_op.matrix
+    mats = _mult_matrices(space, [pts ** 2, pts ** 3, witness_values])[0]
+    x, y = mats[0], mats[1]
+    x_norm, y_norm, witness_norm = linalg.op_norm_batch(mats)
     report = CommutingPairReport(
-        x_norm=rep_norm(space, x_op),
-        y_norm=rep_norm(space, y_op),
+        x_norm=float(x_norm),
+        y_norm=float(y_norm),
         commutator_norm=linalg.op_norm(x @ y - y @ x),
-        relation_gap=linalg.op_norm(
-            x @ x @ x - y @ y
-        ),
-        witness_norm=rep_norm(space, f_op),
+        relation_gap=linalg.op_norm(x @ x @ x - y @ y),
+        witness_norm=float(witness_norm),
         rank=space.rank,
     )
     return x, y, report

@@ -234,6 +234,8 @@ def op_norm(a) -> float:
 def op_norm_batch(a) -> np.ndarray:
     """Largest singular value of every matrix in a square stack."""
     a = np.asarray(a, dtype=complex)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[0])
     gram = a.conj().swapaxes(-1, -2) @ a
     w = herm_eigvals_batch(gram)
     return np.sqrt(np.maximum(w[:, -1], 0.0))

@@ -151,6 +151,13 @@ def test_ccverify_reads_n_max_and_rejects_partial_matrices(tmp_path, capsys):
     assert "all of x, y, u and embed, or none" in capsys.readouterr().err
 
 
+def test_oversized_count_exits_one(capsys):
+    # The first allocation, 8 EB, exceeds any 64-bit address space, so it
+    # fails at once without touching memory.
+    assert cli.main(["variety", "--angles", "1000000000000000000"]) == 1
+    assert_one_error_line(capsys, "allocate")
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -261,6 +268,22 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     # Degree 0 alone compares I with I: a "compressed" would check nothing.
     ("ccverify", '{"n_max": 0}', "n_max must be at least 1"),
     ("ccverify", '{"n_max": -2}', "n_max must be at least 1"),
+    # A boolean is not a number: true would be read as a tolerance of 1.
+    ("pick", '{"tol": true}', "tolerance must be a positive finite"),
+    ("cone", '{"tol": true}', "tolerance must be a positive finite"),
+    ("variety", '{"tol": true}', "tolerance must be a positive finite"),
+    ("ccverify", '{"tol": true}', "tolerance must be a positive finite"),
+    # An empty or non-list unitary reaches MatrixBlaschke, not the default.
+    ("counterexample", '{"unitary": []}', "mixing matrix must be 2x2"),
+    ("counterexample", '{"unitary": 0}', "not iterable"),
+    # Defaults come as a set: one of them beside a given input would pose a
+    # question nobody asked.
+    ("naimark", '{"a_list": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}',
+     "naimark needs all of a_list and b_list, or none"),
+    ("naimark", '{"b_list": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}',
+     "naimark needs all of a_list and b_list, or none"),
+    ("variety", '{"t": [[1.0, 0.0], [0.0, 1.0]]}',
+     "variety needs all of s and t, or none"),
 ])
 def test_wrong_config_types_exit_one(tmp_path, capsys, command, text, message):
     assert run_raw_config(tmp_path, command, text) == (1, None)

@@ -82,6 +82,7 @@ def test_zero_gram_gives_trivial_quotient():
     assert space.rank == 0
     op = mult_operator(space, np.ones(N))
     assert op.matrix.shape == (0, 0)
+    assert gns.rep_norm_sweep(space, np.ones((3, N))).tolist() == [0.0] * 3
     f = np.zeros((N, 2, 2), dtype=complex)
     assert amplified_deficiency(space, f) == 0.0
 
@@ -129,15 +130,21 @@ def test_spectral_inclusion_in_sampled_values():
 
 
 def test_norm_sweep_matches_pointwise():
+    # Reference from numpy.linalg alone: the squared norm of multiplication
+    # by D is the largest eigenvalue of D* W D against W on the range of W,
+    # which is everything for these full-rank W.
     rng = np.random.default_rng(21)
     for w, d in ((random_psd(rng, N) + 1e-3 * np.eye(N), 1),
                  (random_psd(rng, 2 * N) + 1e-3 * np.eye(2 * N), 2)):
         space = build_gns(w, SAMPLES, block_dim=d)
         batch = rng.standard_normal((7, N)) + 1j * rng.standard_normal((7, N))
         swept = gns.rep_norm_sweep(space, batch)
+        lam, vecs = np.linalg.eigh(w)
+        whiten = vecs / np.sqrt(lam)[None, :]
         for k in range(7):
-            one = rep_norm(space, mult_operator(space, batch[k]))
-            assert swept[k] == pytest.approx(one, rel=1e-10)
+            dw = np.repeat(batch[k], d)[:, None] * whiten
+            top = np.linalg.eigvalsh(dw.conj().T @ w @ dw)[-1]
+            assert swept[k] == pytest.approx(np.sqrt(top), rel=1e-10)
     with pytest.raises(ValueError):
         gns.rep_norm_sweep(space, np.ones((2, N + 1)))
 
