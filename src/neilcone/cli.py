@@ -5,9 +5,11 @@ pipeline, Pick-style interpolation checks, raw cone membership, the joint
 dilation of rank-one partitions, the equal-squares variety verdict, the
 commuting-pair model with its norm-violating witness, and the compression
 verifier.  Structured inputs travel in a JSON config file; a handful of
-scalar flags override config fields.  All results are emitted as JSON with
-a fixed schema, deterministically: the same effective config produces the
-same bytes.
+scalar flags override config fields.  Each subcommand returns its exit
+code, effective config, result fields and summary line, and ``main`` alone
+emits them as JSON with a fixed schema, deterministically: the same
+effective config produces the same bytes.  Every emitted certificate is
+decoded from its own bytes and audited once (``_audited``).
 
 Exit codes: 0 affirmative, 2 negative with certificate, 3 inconclusive,
 1 usage or input error.
@@ -62,7 +64,7 @@ def encode_complex(z) -> list:
 
 
 def decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         z = complex(v)
     else:
         re, im = v
@@ -175,47 +177,36 @@ def _emit(payload: dict, out_path, summary: str) -> None:
         sys.stdout.write(text)
 
 
-def _reaudit_fails(payload: dict, problem: ConeProblem) -> bool:
-    """Decode the certificate from the emitted bytes and audit it again.
-
-    Fails when its worst margin is below its own ``-eps``.
-    """
-    cert = decode_certificate(json.loads(_dump(payload))["certificate"])
-    report = validate_certificate(cert, problem)
-    return not report.worst_margin >= -cert.eps
+def _audited(cert: DualCertificate, problem: ConeProblem, **grid):
+    """Encode ``cert``, decode a copy from those bytes and audit it once."""
+    encoded = encode_certificate(cert)
+    decoded = decode_certificate(json.loads(_dump(encoded)))
+    return encoded, decoded, validate_certificate(decoded, problem, **grid)
 
 
-def _emit_reaudit_failure(payload: dict, out_path) -> int:
-    payload["status"] = "inconclusive"
-    payload["reason"] = "serialized certificate failed re-validation"
-    _emit(payload, out_path, "inconclusive: re-validation failed")
-    return 3
+def _reaudit_failure(cfg: dict, fields: dict):
+    """Exit 3: the certificate decoded from the emitted bytes failed its audit."""
+    fields.update(status="inconclusive",
+                  reason="serialized certificate failed re-validation")
+    return 3, cfg, fields, "inconclusive: re-validation failed"
 
 
-def _decide_and_emit(kind: str, cfg: dict, problem: ConeProblem,
-                     out_path) -> int:
-    """Run ``decide`` at the config's tolerance and emit the verdict.
-
-    Exit 0 feasible, 2 infeasible, 3 undecided or a failed re-audit.
-    """
+def _decision(cfg: dict, problem: ConeProblem):
+    """``decide`` at the config's tol: exit 0 feasible, 2 infeasible, else 3."""
     result = decide(problem, cfg["tol"] or PRIMAL_TOL)
-    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": cfg,
-               "status": result.status}
+    fields = {"status": result.status}
     if result.status == "feasible":
-        payload["measure"] = encode_measure(result.measure)
-        payload["residual"] = result.residual
-        _emit(payload, out_path, "feasible: residual=%.3e" % result.residual)
-        return 0
+        fields["measure"] = encode_measure(result.measure)
+        fields["residual"] = result.residual
+        return 0, cfg, fields, "feasible: residual=%.3e" % result.residual
     if result.status == "infeasible":
-        payload["certificate"] = encode_certificate(result.certificate)
-        if _reaudit_fails(payload, problem):
-            return _emit_reaudit_failure(payload, out_path)
-        _emit(payload, out_path,
-              "infeasible: violation=%.6e" % result.certificate.violation)
-        return 2
-    payload["residual"] = result.residual
-    _emit(payload, out_path, "undecided: residual=%.3e" % result.residual)
-    return 3
+        encoded, cert, report = _audited(result.certificate, problem)
+        fields["certificate"] = encoded
+        if not report.worst_margin >= -cert.eps:
+            return _reaudit_failure(cfg, fields)
+        return 2, cfg, fields, "infeasible: violation=%.6e" % cert.violation
+    fields["residual"] = result.residual
+    return 3, cfg, fields, "undecided: residual=%.3e" % result.residual
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +226,8 @@ _COUNT_FIELDS = ("angles", "n_max", "block_dim", "validation_radii",
                  "validation_angles")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _load_config(args, defaults: dict) -> dict:
@@ -257,16 +248,18 @@ def _load_config(args, defaults: dict) -> dict:
         if value is not None:
             cfg[flag] = list(value) if flag == "grid" else value
     for key in _COUNT_FIELDS:
-        if key in cfg and not _is_int(cfg[key]):
+        if key in cfg and not _is_number(cfg[key], int):
             raise ValueError("config field '%s' must be an integer" % key)
     grid = cfg.get("grid")
     if grid is not None and not (isinstance(grid, list)
-                                 and all(map(_is_int, grid))):
+                                 and all(_is_number(v, int) for v in grid)):
         raise ValueError("config field 'grid' must be a list of integers")
     tol = cfg.get("tol")
-    if tol is not None and not ((_is_int(tol) or isinstance(tol, float))
-                                and 0 < tol < math.inf):
+    if tol is not None and not (_is_number(tol) and 0 < tol < math.inf):
         raise ValueError("tolerance must be a positive finite number")
+    for key in ("margin_floor", "deficiency_max", "norm_cap"):
+        if key in cfg and not _is_number(cfg[key]):
+            raise ValueError("config field '%s' must be a number" % key)
     return cfg
 
 
@@ -303,7 +296,7 @@ def _restriction(cfg):
 # subcommands
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple:
     cfg = _load_config(args, {
         "lambda1": [0.5, 0.0],
         "lambda2": [-0.5, 0.0],
@@ -326,22 +319,14 @@ def cmd_counterexample(args) -> int:
     problem = ConeProblem(samples, 2, _generator_grid(cfg), target)
     radii, angles = cfg["validation_radii"], cfg["validation_angles"]
     cert = dual_search(problem, radii, angles)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "counterexample",
-        "config": cfg,
-        "diagonal_mixing": kernels.diagonality_test(mb),
-    }
+    fields = {"diagonal_mixing": kernels.diagonality_test(mb)}
     if cert is None:
-        payload["status"] = "inconclusive"
-        payload["reason"] = "no separating functional found"
-        _emit(payload, args.out, "inconclusive: no separating functional found")
-        return 3
+        fields.update(status="inconclusive",
+                      reason="no separating functional found")
+        return 3, cfg, fields, "inconclusive: no separating functional found"
 
-    # One audit, of the certificate exactly as emitted; it gates margin_ok.
-    encoded = encode_certificate(cert)
-    cert = decode_certificate(json.loads(_dump(encoded)))
-    report = validate_certificate(cert, problem, radii=radii, angles=angles)
+    # The audit of the emitted certificate gates margin_ok.
+    encoded, cert, report = _audited(cert, problem, radii=radii, angles=angles)
     space = gns.build_gns(cert.w, samples, block_dim=2)
     lam_grid = validation_grid(radii, angles)
     values = test_fn(lam_grid[:, None], samples.array())
@@ -353,7 +338,7 @@ def cmd_counterexample(args) -> int:
         "deficiency_ok": bool(t <= cfg["deficiency_max"]),
         "norms_ok": bool(float(np.max(norms)) <= 1.0 + cfg["norm_cap"]),
     }
-    payload.update({
+    fields.update({
         "status": "certified" if all(checks.values()) else "inconclusive",
         "certificate": encoded,
         "validation": {
@@ -372,15 +357,13 @@ def cmd_counterexample(args) -> int:
         "checks": checks,
     })
     if not all(checks.values()):
-        _emit(payload, args.out, "inconclusive: certificate gates failed %r" % checks)
-        return 3
-    _emit(payload, args.out,
-          "certified: violation=%.6e margin=%.3e deficiency=%.6e max_norm=%.9f"
-          % (cert.violation, report.worst_margin, t, float(np.max(norms))))
-    return 0
+        return 3, cfg, fields, "inconclusive: certificate gates failed %r" % checks
+    return 0, cfg, fields, (
+        "certified: violation=%.6e margin=%.3e deficiency=%.6e max_norm=%.9f"
+        % (cert.violation, report.worst_margin, t, float(np.max(norms))))
 
 
-def cmd_pick(args) -> int:
+def cmd_pick(args) -> tuple:
     cfg = _load_config(args, {"nodes": None, "targets": None,
                               "restriction": None, "tol": None})
     if not cfg["nodes"] or cfg["targets"] is None:
@@ -388,10 +371,10 @@ def cmd_pick(args) -> int:
     nodes = [decode_complex(v) for v in cfg["nodes"]]
     targets = [decode_complex(v) for v in cfg["targets"]]
     problem = pick_problem(nodes, targets, _restriction(cfg))
-    return _decide_and_emit("pick", cfg, problem, args.out)
+    return _decision(cfg, problem)
 
 
-def cmd_cone(args) -> int:
+def cmd_cone(args) -> tuple:
     cfg = _load_config(args, {"samples": None, "block_dim": 1, "target": None,
                               "grid": None, "restriction": None,
                               "tol": None})
@@ -409,10 +392,10 @@ def cmd_cone(args) -> int:
     target = MatrixKernel(samples, d, flat)
     problem = ConeProblem(samples, d, _generator_grid(cfg), target,
                           generator_restriction=_restriction(cfg))
-    return _decide_and_emit("cone", cfg, problem, args.out)
+    return _decision(cfg, problem)
 
 
-def cmd_naimark(args) -> int:
+def cmd_naimark(args) -> tuple:
     cfg = _load_config(args, {"a_list": None, "b_list": None})
     half = [[[0.5, 0.0]]]
     _all_or_none(cfg, "naimark", ("a_list", "b_list"),
@@ -425,10 +408,7 @@ def cmd_naimark(args) -> int:
     for mat, proj in zip(inp.a_list + inp.b_list, dil.p_list + dil.q_list):
         worst = max(worst, linalg.op_norm(
             dil.v.conj().T @ proj @ dil.v - mat))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "naimark",
-        "config": cfg,
+    fields = {
         "v": encode_matrix(dil.v),
         "p_list": [encode_hermitian(p) for p in dil.p_list],
         "q_list": [encode_hermitian(q) for q in dil.q_list],
@@ -436,12 +416,11 @@ def cmd_naimark(args) -> int:
         "reconstruction_error": worst,
         "status": "exact" if worst <= 1e-10 else "inexact",
     }
-    _emit(payload, args.out, "%s: reconstruction_error=%.3e"
-          % (payload["status"], worst))
-    return 0 if worst <= 1e-10 else 2
+    return (0 if worst <= 1e-10 else 2, cfg, fields,
+            "%s: reconstruction_error=%.3e" % (fields["status"], worst))
 
 
-def cmd_variety(args) -> int:
+def cmd_variety(args) -> tuple:
     cfg = _load_config(args, {"s": None, "t": None, "angles": 720,
                               "tol": 1e-8})
     _all_or_none(cfg, "variety", ("s", "t"), lambda: (
@@ -449,10 +428,7 @@ def cmd_variety(args) -> int:
         encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))))
     pair = dilation.VarietyPair(decode_matrix(cfg["s"]), decode_matrix(cfg["t"]))
     verdict = dilation.variety_verdict(pair, cfg["angles"], cfg["tol"])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "variety",
-        "config": cfg,
+    fields = {
         "passed": verdict.passed,
         "max_norm": verdict.max_norm,
         "witness": encode_complex(verdict.witness),
@@ -460,13 +436,13 @@ def cmd_variety(args) -> int:
         "max_adjacent_diff": verdict.sweep.max_adjacent_diff,
         "profile": [float(v) for v in verdict.sweep.profile],
     }
-    _emit(payload, args.out, "%s: max_norm=%.9f at lambda=%s"
-          % ("PASS" if verdict.passed else "FAIL", verdict.max_norm,
-             verdict.witness))
-    return 0 if verdict.passed else 2
+    return (0 if verdict.passed else 2, cfg, fields,
+            "%s: max_norm=%.9f at lambda=%s"
+            % ("PASS" if verdict.passed else "FAIL", verdict.max_norm,
+               verdict.witness))
 
 
-def cmd_noxy(args) -> int:
+def cmd_noxy(args) -> tuple:
     cfg = _load_config(args, {"witness_point": [0.4, 0.0], "samples": None})
     samples = _sample_set(cfg)
     mu = decode_complex(cfg["witness_point"])
@@ -478,24 +454,19 @@ def cmd_noxy(args) -> int:
     problem = ConeProblem(samples, 1, squaring, target,
                           generator_restriction=squaring)
     cert = dual_search(problem)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "noxy",
-        "config": cfg,
-    }
     if cert is None:
-        payload["status"] = "inconclusive"
-        payload["criteria_met"] = False
-        payload["reason"] = "no separating functional for the witness kernel"
-        _emit(payload, args.out, "inconclusive: no separating functional")
-        return 3
+        return 3, cfg, {
+            "status": "inconclusive", "criteria_met": False,
+            "reason": "no separating functional for the witness kernel",
+        }, "inconclusive: no separating functional"
+    encoded, cert, audit = _audited(cert, problem)
     x, y, report = gns.build_noxy(samples, cert.w, witness)
     met = bool(report.contractive() and report.relations_hold()
                and report.norm_violated())
-    payload.update({
+    fields = {
         "status": "violating pair constructed" if met else "inconclusive",
         "criteria_met": met,
-        "certificate": encode_certificate(cert),
+        "certificate": encoded,
         "x": encode_matrix(x),
         "y": encode_matrix(y),
         "report": {
@@ -506,16 +477,14 @@ def cmd_noxy(args) -> int:
             "witness_norm": report.witness_norm,
             "rank": report.rank,
         },
-    })
+    }
     if not met:
-        _emit(payload, args.out, "inconclusive: pair fails a gate")
-        return 3
-    if _reaudit_fails(payload, problem):
-        return _emit_reaudit_failure(payload, args.out)
-    _emit(payload, args.out,
-          "constructed: witness_norm=%.6f x_norm=%.6f y_norm=%.6f"
-          % (report.witness_norm, report.x_norm, report.y_norm))
-    return 0
+        return 3, cfg, fields, "inconclusive: pair fails a gate"
+    if not audit.worst_margin >= -cert.eps:
+        return _reaudit_failure(cfg, fields)
+    return 0, cfg, fields, (
+        "constructed: witness_norm=%.6f x_norm=%.6f y_norm=%.6f"
+        % (report.witness_norm, report.x_norm, report.y_norm))
 
 
 def _ccverify_default():
@@ -525,7 +494,7 @@ def _ccverify_default():
     return map(encode_matrix, (x, y, u, embed))
 
 
-def cmd_ccverify(args) -> int:
+def cmd_ccverify(args) -> tuple:
     cfg = _load_config(args, {"x": None, "y": None, "u": None, "embed": None,
                               "n_max": 5, "tol": 1e-10})
     _all_or_none(cfg, "ccverify", ("x", "y", "u", "embed"), _ccverify_default)
@@ -533,19 +502,15 @@ def cmd_ccverify(args) -> int:
         decode_matrix(cfg["x"]), decode_matrix(cfg["y"]),
         decode_matrix(cfg["u"]), decode_matrix(cfg["embed"]), cfg["n_max"])
     ok = report.ok(cfg["tol"])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ccverify",
-        "config": cfg,
+    fields = {
         "deviations": [[n, d] for n, d in report.deviations],
         "commutator_norm": report.commutator_norm,
         "relation_gap": report.relation_gap,
         "max_deviation": report.max_deviation,
         "status": "compressed" if ok else "mismatch",
     }
-    _emit(payload, args.out, "%s: max_deviation=%.3e"
-          % (payload["status"], report.max_deviation))
-    return 0 if ok else 2
+    return (0 if ok else 2, cfg, fields, "%s: max_deviation=%.3e"
+            % (fields["status"], report.max_deviation))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +580,10 @@ def main(argv=None) -> int:
         # An overflow inside a solve ends at a finiteness gate as an input
         # error; numpy's floating-point warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            code, cfg, fields, summary = _COMMANDS[args.command](args)
+        _emit({"schema_version": SCHEMA_VERSION, "kind": args.command,
+               "config": cfg, **fields}, args.out, summary)
+        return code
     except (ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -269,8 +269,12 @@ def primal_feasibility(problem: ConeProblem,
     M = K / A_g entrywise, so the floors of all those matrices, taken in
     one batched eigenvalue call, decide every one-atom case.  The first
     generator in grid order whose matrix is PSD within BLOCK_PSD_TOL, and
-    whose stored block reproduces the target within ``tol``, is returned as
-    a one-atom measure.
+    whose stored block reproduces the target within the acceptance bound,
+    is returned as a one-atom measure.
+
+    A measure is accepted only when its residual is at most
+    ``tol * min(1, ||K||_F)``, so the zero measure, whose residual is
+    ||K||_F, never represents a kernel K != 0; ``tol`` must be below 1.
 
     Otherwise one Douglas-Rachford run over the whole effective grid, at
     most PRIMAL_MAX_ITER iterations, goes between the affine slab of exact
@@ -282,9 +286,12 @@ def primal_feasibility(problem: ConeProblem,
     full precision, that the blocks are PSD and reproduce the target;
     anything else is Undecided, never a claim of infeasibility.
     """
+    if not tol < 1.0:
+        raise ValueError("tolerance must be below 1, got %r" % (tol,))
     grid = problem.effective_grid
     coefs = _generator_data(grid, problem.sample_set, problem.block_dim)[1]
     k_hat = problem.target.flat
+    tol = tol * min(1.0, float(np.linalg.norm(k_hat)))
 
     # One-atom step.  No entry of A_g vanishes, since every generator value
     # has modulus below 1, so K / A_g is always defined.

@@ -272,32 +272,13 @@ def rank_factor(h) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])[None, :]
 
 
-def _complete_isometry(v: np.ndarray) -> np.ndarray:
-    """Extend an isometry's columns to an orthonormal basis (deterministic MGS)."""
-    m, n = v.shape
-    basis = [v[:, j].copy() for j in range(n)]
-    for i in range(m):
-        if len(basis) == m:
-            break
-        cand = np.zeros(m, dtype=complex)
-        cand[i] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            for b in basis:
-                cand = cand - b * np.vdot(b, cand)
-        nrm = float(np.linalg.norm(cand))
-        if nrm > 1e-8:
-            basis.append(cand / nrm)
-    if len(basis) != m:
-        raise ValueError("failed to complete isometry columns to a basis")
-    return np.column_stack(basis[n:]) if m > n else np.zeros((m, 0), dtype=complex)
-
-
 def align_isometries(v, w) -> np.ndarray:
     """Unitary U with U v = w for two isometries with equal shapes.
 
     Both arguments must satisfy A* A = I within ISOMETRY_TOL.  U acts as
-    w v* on the range of v and maps a completion of v's range onto a
-    completion of w's.
+    w v* on the range of v and maps the orthogonal complement of v's range
+    onto that of w's, each taken from one eigendecomposition as the
+    eigenvectors of I - A A* for eigenvalue 1.
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -313,10 +294,9 @@ def align_isometries(v, w) -> np.ndarray:
             raise ValueError(
                 "%s argument is not an isometry: ||A*A - I|| = %.3e" % (name, defect)
             )
-    v_perp = _complete_isometry(v)
-    w_perp = _complete_isometry(w)
-    u = np.column_stack([w, w_perp]) @ np.column_stack([v, v_perp]).conj().T
-    return u
+    v_perp = herm_eig(np.eye(m) - v @ v.conj().T)[1][:, n:]
+    w_perp = herm_eig(np.eye(m) - w @ w.conj().T)[1][:, n:]
+    return np.column_stack([w, w_perp]) @ np.column_stack([v, v_perp]).conj().T
 
 
 def spectral_radius(a) -> float:

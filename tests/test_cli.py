@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neilcone import cli, cone, kernels
+from neilcone import cli, cone, gns, kernels
 from conftest import random_hermitian
 
 
@@ -402,6 +402,28 @@ def test_cone_failed_reaudit_is_inconclusive(tmp_path, monkeypatch):
     assert data["reason"] == "serialized certificate failed re-validation"
 
 
+@pytest.mark.parametrize("restricted", [True, False])
+def test_cone_tiny_negative_kernel_is_not_feasible(tmp_path, restricted):
+    # The zero measure is within 1e-7 of -1e-8 I, but a negative diagonal
+    # is never in the cone: the acceptance bound scales with ||K||_F.
+    config = restricted_infeasible_config()
+    config["target"] = cli.encode_hermitian(-1e-8 * np.eye(3))
+    if not restricted:
+        del config["restriction"]
+    code, data = run_raw_config(tmp_path, "cone", json.dumps(config))
+    assert (code, data["status"]) == (3, "undecided")
+
+
+def test_cone_tolerance_of_one_or_more_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(restricted_infeasible_config()))
+    out = tmp_path / "out.json"
+    argv = ["cone", "--config", str(cfg), "--out", str(out), "--tol", "10"]
+    assert cli.main(argv) == 1
+    assert not out.exists()
+    assert_one_error_line(capsys, "tolerance must be below 1")
+
+
 @pytest.mark.parametrize("command", ["pick", "cone"])
 def test_tol_reaches_the_primal_search(tmp_path, monkeypatch, command):
     seen = []
@@ -473,6 +495,43 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
     emitted = cli.decode_certificate(data["certificate"])
     assert np.array_equal(audited[0], emitted.w)
     assert data["validation"]["grid_size"] == 4 * 8 + 1
+
+
+@pytest.mark.parametrize("command, want", [("cone", 2), ("noxy", 0)])
+def test_cone_and_noxy_audit_the_emitted_certificate_once(tmp_path,
+                                                          monkeypatch,
+                                                          command, want):
+    found, audited, paired = [], [], []
+    search, audit = cli.dual_search, cli.validate_certificate
+    build = gns.build_noxy
+
+    def recording_search(problem):
+        found.append(search(problem))
+        return found[-1]
+
+    def counting(cert, problem, **kwargs):
+        audited.append(cert)
+        return audit(cert, problem, **kwargs)
+
+    def recording_build(samples, w, witness):
+        paired.append(w)
+        return build(samples, w, witness)
+
+    monkeypatch.setattr(cli, "dual_search", recording_search)
+    monkeypatch.setattr(cone, "dual_search", recording_search)
+    monkeypatch.setattr(cli, "validate_certificate", counting)
+    monkeypatch.setattr(gns, "build_noxy", recording_build)
+    config = restricted_infeasible_config() if command == "cone" else {}
+    code, data = run_raw_config(tmp_path, command, json.dumps(config))
+    assert code == want
+    assert len(found) == len(audited) == 1
+    # The audited copy is decoded from the emitted bytes, not the search's.
+    assert audited[0] is not found[0]
+    emitted = cli.decode_certificate(data["certificate"])
+    assert np.array_equal(audited[0].w, emitted.w)
+    # noxy builds X and Y from that same decoded W.
+    assert len(paired) == (command == "noxy")
+    assert all(w is audited[0].w for w in paired)
 
 
 def test_noxy_constructs_violating_pair(tmp_path):

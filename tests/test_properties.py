@@ -1,5 +1,6 @@
-"""Property tests: certificate decoding, the variety subcommand, one-atom
-cone members and the primal separation exit on random input.
+"""Property tests: certificate decoding, the variety subcommand, invalid
+configs for every subcommand, one-atom cone members and the primal
+separation exit on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -82,6 +83,85 @@ def test_variety_on_equal_pairs_exits_cleanly(m):
         assert text.startswith("error: ") and text.count("\n") == 1
     else:
         assert text == ""
+
+
+# A valid config per subcommand, and per field the values that are invalid
+# there: wrong JSON type, wrong shape, empty list, boolean, out-of-range
+# count or point, and an overflowing number.  OVERFLOW stands for the
+# literal 1e400, which json.dumps cannot write.
+OVERFLOW = "__overflow__"
+HALF = [[[0.5, 0.0]]]
+BAD_COMPLEX = ["abc", {}, [], True, [1, 2, 3], [OVERFLOW, 0.0]]
+BAD_POINT = BAD_COMPLEX + [[1.0, 0.0]]
+BAD_POINTS = ["abc", {}, [], True, [[1.0, 0.0]], [[OVERFLOW, 0.0]], [True]]
+BAD_MATRIX = ["abc", {}, [], True, [1, 2, 3], [[[OVERFLOW, 0.0]]], [[True]]]
+BAD_LOWER = ["abc", {}, [], True, [[[1.0, 0.0], [2.0, 0.0]]],
+             [[[OVERFLOW, 0.0]]]]
+BAD_COUNT = ["abc", [], True, 2.5, 0, -1, OVERFLOW]
+BAD_NUMBER = ["abc", {}, [], True, [1.0, 0.0], OVERFLOW]
+BAD_TOL = BAD_NUMBER + [0, -1.0]
+BAD_FIELDS = {
+    "counterexample": ({}, {
+        "lambda1": BAD_POINT, "lambda2": BAD_POINT, "unitary": BAD_MATRIX,
+        "samples": BAD_POINTS, "grid": ["abc", [], True, [1, 2, 3], [0, 8],
+                                        [2.5, 8], [OVERFLOW, 8]],
+        "validation_radii": BAD_COUNT, "validation_angles": BAD_COUNT,
+        "margin_floor": BAD_NUMBER, "deficiency_max": BAD_NUMBER,
+        "norm_cap": BAD_NUMBER}),
+    "pick": ({"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [0.0, 0.1]}, {
+        "nodes": BAD_POINTS, "targets": BAD_POINTS[:-1] + [[1, 2, 3]],
+        "restriction": BAD_POINTS, "tol": BAD_TOL}),
+    "cone": ({"target": cli.encode_hermitian(-np.eye(3))}, {
+        "samples": BAD_POINTS, "block_dim": BAD_COUNT, "target": BAD_LOWER,
+        "grid": ["abc", [], True, [0, 8], [OVERFLOW, 8]],
+        "restriction": BAD_POINTS, "tol": BAD_TOL}),
+    "naimark": ({"a_list": [HALF, HALF], "b_list": [HALF, HALF]}, {
+        "a_list": [[bad] for bad in BAD_LOWER] + ["abc", True, [HALF]],
+        "b_list": [[bad] for bad in BAD_LOWER] + ["abc", True, [HALF]]}),
+    "variety": ({"s": [[0.0, 1.0], [0.0, 0.0]], "t": [[0.0, 1.0], [0.0, 0.0]]},
+                {"s": BAD_MATRIX, "t": BAD_MATRIX, "angles": BAD_COUNT,
+                 "tol": BAD_TOL}),
+    "noxy": ({}, {"witness_point": BAD_POINT, "samples": BAD_POINTS}),
+    "ccverify": (dict(zip(("x", "y", "u", "embed"), cli._ccverify_default())),
+                 {"x": BAD_MATRIX, "y": BAD_MATRIX, "u": BAD_MATRIX,
+                  "embed": BAD_MATRIX, "n_max": BAD_COUNT, "tol": BAD_TOL}),
+}
+
+
+@st.composite
+def invalid_configs(draw):
+    command = draw(st.sampled_from(sorted(BAD_FIELDS)))
+    config, fields = BAD_FIELDS[command]
+    field = draw(st.sampled_from(sorted(fields)))
+    bad = draw(st.sampled_from(fields[field]))
+    text = json.dumps({**config, field: bad})
+    return command, text.replace('"%s"' % OVERFLOW, "1e400")
+
+
+def solve_reached(*args, **kwargs):
+    raise AssertionError("an invalid config reached a solve")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=invalid_configs())
+def test_invalid_config_field_exits_one(case):
+    command, text = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name in ("_dr_run", "_admm_min_violation", "_dual_polish"):
+            mp.setattr(cone, name, solve_reached)
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(text)
+        out = Path(tmp) / "out.json"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        wrote = out.exists()
+    assert (code, wrote, caught) == (1, False, [])
+    text = err.getvalue()
+    assert text.startswith("error: ") and text.count("\n") == 1
 
 
 ATOM_SAMPLES = (0.0, 0.4, -0.3 + 0.2j)
