@@ -5,7 +5,7 @@ Hadamard unitary, so it is inner and contractive against every single test
 function.  The dual search below finds a functional that is nonnegative on
 all generator kernels yet strictly negative on the product's kernel, and
 the representation built from that functional exhibits the 2x2 amplification
-dipping past norm one.  The full run takes a couple of minutes.
+dipping past norm one.  The full run takes about a minute and a half.
 """
 
 import time

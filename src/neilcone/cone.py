@@ -781,7 +781,7 @@ def recover_structure(measure: DiscreteMeasure,
         if zero_idx is not None:
             sl = slice(zero_idx * d, (zero_idx + 1) * d)
             zb = weight[sl, sl]
-            zb_eigs = linalg.herm_eig(zb)[0]
+            zb_eigs = linalg.herm_eigvals_batch(zb[None])[0]
         clusters.append(Cluster(ctr, mass, weight, zb, zb_eigs))
     clusters.sort(key=lambda c: -c.total_trace)
 

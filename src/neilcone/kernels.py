@@ -204,6 +204,8 @@ class MatrixKernel:
     flat: np.ndarray
 
     def __post_init__(self):
+        if not self.block_dim >= 1:
+            raise ValueError("block dimension must be at least 1, got %r" % (self.block_dim,))
         n = len(self.sample_set) * self.block_dim
         flat = np.asarray(self.flat, dtype=complex)
         if flat.shape != (n, n):

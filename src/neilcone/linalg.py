@@ -1,13 +1,13 @@
-"""Self-contained dense complex linear algebra on small Hermitian matrices.
+"""Dense complex linear algebra on small, batched Hermitian matrices.
 
-Everything is built on a cyclic Jacobi eigensolver: pivots are visited in a
-fixed row-major order, so a given input always produces bit-for-bit the same
-output.  Matrices here are small (dimension a few hundred at most) and many
-of them are processed at once, so the solver works on a stacked batch and the
-single-matrix routines are thin wrappers.
+Each operation has one implementation: eigenvalues alone (floors, margins,
+norms) come from LAPACK's ``eigvalsh`` in ``herm_eigvals_batch``, and
+eigenvectors from a cyclic Jacobi solver with a fixed pivot order in
+``herm_eig_batch``.  A matrix gets the same bits alone as inside a stack,
+and an input the same bits on one machine and numpy build.
 
-Only the lower triangle of a Hermitian argument is trusted; ``from_lower``
-rebuilds the full matrix before any decomposition.
+Only the lower triangle of a Hermitian argument is trusted: LAPACK reads
+nothing else, and ``from_lower`` rebuilds the full matrix for Jacobi.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _tournament_rounds(n: int):
     return rounds
 
 
-def _jacobi_batch(h, want_vectors):
+def _jacobi_batch(h):
     """Cyclic Jacobi on a stack of Hermitian matrices.
 
     One sweep visits every off-diagonal pair once, as n-1 tournament rounds
@@ -82,14 +82,11 @@ def _jacobi_batch(h, want_vectors):
     Sweeping stops once the off-diagonal norm is below _OFF_TARGET times the
     matrix norm; SWEEP_CAP sweeps without that raise ConvergenceError.
     h is modified in place and must already be exactly Hermitian with real
-    diagonal.  Returns (w, v) with eigenvalues ascending; v is None when
-    vectors are not requested.
+    diagonal.  Returns (w, v) with eigenvalues ascending.
     """
     b, n, _ = h.shape
-    v = None
-    if want_vectors:
-        v = np.zeros((b, n, n), dtype=complex)
-        v[:, np.arange(n), np.arange(n)] = 1.0
+    v = np.zeros((b, n, n), dtype=complex)
+    v[:, np.arange(n), np.arange(n)] = 1.0
     if n == 1:
         w = np.real(np.diagonal(h, axis1=1, axis2=2)).copy()
         return w, v
@@ -112,8 +109,7 @@ def _jacobi_batch(h, want_vectors):
         w = np.real(h[:, idx, idx]).copy()
         order = np.argsort(w, axis=1, kind="stable")
         w = np.take_along_axis(w, order, axis=1)
-        vv = np.take_along_axis(v, order[:, None, :], axis=2) if want_vectors else None
-        return w, vv
+        return w, np.take_along_axis(v, order[:, None, :], axis=2)
 
     rounds = _tournament_rounds(n)
     for _ in range(SWEEP_CAP):
@@ -156,11 +152,10 @@ def _jacobi_batch(h, want_vectors):
             h[:, qq, pp] = np.conj(h[:, pp, qq])
             h[:, pp, pp] = np.real(h[:, pp, pp])
             h[:, qq, qq] = np.real(h[:, qq, qq])
-            if want_vectors:
-                vp = v[:, :, pp]
-                vq = v[:, :, qq]
-                v[:, :, pp] = vp * c[:, None, :] - vq * suc[:, None, :]
-                v[:, :, qq] = vp * su[:, None, :] + vq * c[:, None, :]
+            vp = v[:, :, pp]
+            vq = v[:, :, qq]
+            v[:, :, pp] = vp * c[:, None, :] - vq * suc[:, None, :]
+            v[:, :, qq] = vp * su[:, None, :] + vq * c[:, None, :]
     off2 = _off2()
     if np.all(off2 <= target):
         return _finish()
@@ -170,30 +165,40 @@ def _jacobi_batch(h, want_vectors):
     )
 
 
-def herm_eig_batch(h, want_vectors: bool = True):
-    """Eigen-decompose a stack of Hermitian matrices, eigenvalues ascending.
+def _pow2_factors(a) -> np.ndarray:
+    """Exact per-matrix scalings to a largest |entry| in [1/2, 1); the
+    exponent is clipped so that the factor stays finite for subnormal input."""
+    exponent = np.frexp(np.max(np.abs(a), axis=(-2, -1), initial=0.0))[1]
+    return np.exp2(-np.maximum(exponent, -1023))
+
+
+def herm_eig_batch(h):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian stack, by Jacobi.
 
     A stack with a NaN or an infinite entry (an overflow upstream, say)
-    raises ValueError.  Each matrix is scaled by a power of two to a largest
-    entry in [1/2, 1) before sweeping, which is exact, so entries whose
-    squares would underflow still rotate; the exponent is clipped so that
-    the factor itself stays finite for subnormal input.
+    raises ValueError.  Each matrix is scaled by ``_pow2_factors`` before
+    sweeping, so entries whose squares would underflow still rotate.
     """
     work = from_lower(h)
     if work.ndim != 3 or work.shape[-1] != work.shape[-2]:
         raise ValueError("expected a (batch, n, n) stack, got %r" % (work.shape,))
     if not np.isfinite(work).all():
         raise ValueError("cannot decompose a matrix with non-finite entries")
-    exponent = np.frexp(np.max(np.abs(work), axis=(1, 2), initial=0.0))[1]
-    factor = np.exp2(-np.maximum(exponent, -1023))
+    factor = _pow2_factors(work)
     work *= factor[:, None, None]
-    w, v = _jacobi_batch(work, want_vectors)
+    w, v = _jacobi_batch(work)
     return w / factor[:, None], v
 
 
 def herm_eigvals_batch(h) -> np.ndarray:
-    """Eigenvalues only for a stack of Hermitian matrices."""
-    return herm_eig_batch(h, want_vectors=False)[0]
+    """Eigenvalues (ascending) of a Hermitian stack, from LAPACK, which
+    reads only the lower triangle; a NaN or an infinity there raises."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a (batch, n, n) stack, got %r" % (h.shape,))
+    if np.tril(~np.isfinite(h)).any():
+        raise ValueError("cannot decompose a matrix with non-finite entries")
+    return np.linalg.eigvalsh(h, UPLO="L")
 
 
 def herm_eig(h):
@@ -201,14 +206,13 @@ def herm_eig(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix, got %r" % (h.shape,))
-    w, v = herm_eig_batch(h[None], want_vectors=True)
+    w, v = herm_eig_batch(h[None])
     return w[0], v[0]
 
 
 def min_eig(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = herm_eig_batch(np.asarray(h, dtype=complex)[None], want_vectors=False)
-    return float(w[0, 0])
+    return float(herm_eigvals_batch(np.asarray(h, dtype=complex)[None])[0, 0])
 
 
 def min_eig_batch(h) -> np.ndarray:
@@ -221,24 +225,28 @@ def op_norm(a) -> float:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a matrix, got %r" % (a.shape,))
-    if a.size == 0:
-        return 0.0
     if a.shape[0] < a.shape[1]:
-        gram = a @ a.conj().T
-    else:
-        gram = a.conj().T @ a
-    w = herm_eigvals_batch(gram[None])[0]
-    return math.sqrt(max(float(w[-1]), 0.0))
+        a = a.conj().T
+    return float(op_norm_batch(a[None])[0])
 
 
 def op_norm_batch(a) -> np.ndarray:
-    """Largest singular value of every matrix in a square stack."""
+    """Largest singular value of every matrix in a stack, via (f A)* A f
+    with f from ``_pow2_factors``, so huge and tiny entries keep their norm."""
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        raise ValueError("expected a (batch, m, n) stack, got %r" % (a.shape,))
     if a.shape[-1] == 0:
         return np.zeros(a.shape[0])
-    gram = a.conj().swapaxes(-1, -2) @ a
-    w = herm_eigvals_batch(gram)
-    return np.sqrt(np.maximum(w[:, -1], 0.0))
+    if not np.isfinite(a).all():
+        raise ValueError("cannot take the norm of a matrix with non-finite entries")
+    factor = _pow2_factors(a)[:, None, None]
+    gram = a.conj()  # scaled in place: no copy beyond the two A* A needs
+    gram *= factor
+    gram = gram.swapaxes(-1, -2) @ a
+    gram *= factor
+    w = herm_eigvals_batch(gram)[:, -1]
+    return np.sqrt(np.maximum(w, 0.0)) / factor[:, 0, 0]
 
 
 def psd_project(h) -> np.ndarray:
@@ -248,7 +256,7 @@ def psd_project(h) -> np.ndarray:
 
 def psd_project_batch(h) -> np.ndarray:
     """Frobenius-nearest PSD matrix for every matrix in a Hermitian stack."""
-    w, v = herm_eig_batch(h, want_vectors=True)
+    w, v = herm_eig_batch(h)
     w = np.maximum(w, 0.0)
     out = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return from_lower(out)

@@ -258,6 +258,8 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     ("variety", '{"angles": 2.5}', "field 'angles' must be an integer"),
     ("cone", '{"block_dim": 1.7}', "field 'block_dim' must be an integer"),
     ("cone", '{"block_dim": true}', "field 'block_dim' must be an integer"),
+    ("cone", '{"block_dim": -1, "target": []}',
+     "block dimension must be at least 1, got -1"),
     ("counterexample", '{"grid": [2.9, 4]}',
      "field 'grid' must be a list of integers"),
     ("counterexample", '{"validation_radii": 8.0}',

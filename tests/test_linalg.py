@@ -31,11 +31,14 @@ def test_herm_eig_residual_and_orthonormality(n):
 
 def test_herm_eig_matches_independent_solver():
     rng = np.random.default_rng(5)
-    for n in (2, 3, 7, 15):
+    for n in (1, 2, 3, 6, 7, 12, 15):
         h = random_hermitian(rng, n)
         w, _ = linalg.herm_eig(h)
         ref = np.linalg.eigvalsh(h)
         assert np.allclose(w, ref, atol=1e-11 * (1 + np.linalg.norm(h)))
+        # The LAPACK eigenvalue path agrees with the Jacobi one.
+        vals = linalg.herm_eigvals_batch(h[None])[0]
+        assert np.max(np.abs(vals - w)) <= 1e-12 * (1 + np.linalg.norm(h))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e300])
@@ -61,10 +64,14 @@ def test_herm_eig_batch_matches_single():
     rng = np.random.default_rng(99)
     hs = np.stack([random_hermitian(rng, 6) for _ in range(5)])
     wb, vb = linalg.herm_eig_batch(hs)
+    vals = linalg.herm_eigvals_batch(hs)
     for k in range(5):
         w, v = linalg.herm_eig(hs[k])
         assert np.allclose(wb[k], w, atol=0.0)  # identical sweep order, identical bits
         assert np.array_equal(vb[k], v)
+        assert np.array_equal(vals[k], linalg.herm_eigvals_batch(hs[k][None])[0])
+        assert linalg.min_eig(hs[k]) == vals[k, 0]
+    assert linalg.herm_eigvals_batch(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
 def test_herm_eig_deterministic():
@@ -80,11 +87,19 @@ def test_herm_eig_uses_lower_triangle_only():
     w, _ = linalg.herm_eig(h)
     ref = np.linalg.eigvalsh(np.array([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, -1.0]]))
     assert np.allclose(w, ref, atol=1e-12)
+    clean = linalg.herm_eigvals_batch(linalg.from_lower(h)[None])[0]
+    for upper in (99.0, np.nan, np.inf):
+        h[0, 1] = upper
+        assert np.array_equal(linalg.herm_eigvals_batch(h[None])[0], clean)
+        assert linalg.min_eig(h) == clean[0]
+        assert np.array_equal(linalg.min_eig_batch(h[None]), clean[:1])
 
 
 def test_op_norm_hand_checked():
     a = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     assert abs(linalg.op_norm(a) - np.sqrt(2.0)) < 1e-12
+    with pytest.raises(ValueError, match="stack"):
+        linalg.op_norm_batch(a)
 
 
 def test_op_norm_unitary_invariance():
@@ -100,6 +115,20 @@ def test_op_norm_rectangular_both_orientations():
     a = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     assert abs(linalg.op_norm(a) - linalg.op_norm(a.conj().T)) < 1e-11
     assert abs(linalg.op_norm(a) - np.linalg.svd(a, compute_uv=False)[0]) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e200, 3e160, 1e-170])
+def test_op_norm_huge_and_tiny_entries(scale):
+    # A* A of such entries overflows or underflows unless scaled first.
+    rng = np.random.default_rng(31)
+    for shape in ((1, 1), (2, 2), (3, 5), (5, 3)):
+        a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ref = np.linalg.norm(a, 2)
+        assert abs(linalg.op_norm(a) - ref) <= 1e-12 * ref
+        if shape[0] == shape[1]:
+            got = linalg.op_norm_batch(np.stack([a, np.zeros(shape)]))
+            assert abs(got[0] - ref) <= 1e-12 * ref and got[1] == 0.0
+    assert linalg.op_norm(np.diag([1e-170, 2e-170])) == 2e-170
 
 
 def test_psd_project_hand_checked():
@@ -176,10 +205,11 @@ def test_herm_eig_rejects_non_finite_stack():
     for bad in (np.nan, np.inf):
         h = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
         h[1, 2, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.herm_eig_batch(h)
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.psd_project_batch(h)
+        for fn in (linalg.herm_eig_batch, linalg.psd_project_batch,
+                   linalg.herm_eigvals_batch, linalg.min_eig_batch,
+                   linalg.op_norm_batch, linalg.min_eig, linalg.op_norm):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(h if fn.__name__.endswith("batch") else h[1])
 
 
 def test_from_lower_builds_hermitian():
