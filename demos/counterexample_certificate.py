@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from neilcone.cone import (ConeProblem, default_grid, dual_search,
-                           validate_certificate, validation_grid)
+                           validate_certificate)
 from neilcone.gns import amplified_deficiency, build_gns, rep_norm_sweep
 from neilcone.kernels import (DEFAULT_SAMPLES, DEFAULT_UNITARY,
                               MatrixBlaschke, diagonality_test, f_eval,
@@ -46,14 +46,15 @@ def main():
     print()
 
     report = validate_certificate(cert, problem)
-    print("fine-grid audit over %d parameters:" % report.grid_size)
+    print("audit over %d parameters (search grid and dense rings):"
+          % report.grid_size)
     print("  worst margin %+.3e at %s" % (report.worst_margin,
                                           report.worst_point))
     print("  boundary modulus estimate %.3f" % report.modulus_estimate)
     print()
 
     space = build_gns(cert.w, samples, block_dim=2)
-    lam_grid = validation_grid()
+    lam_grid = problem.audit_grid
     values = test_fn(lam_grid[:, None], samples.array())
     norms = rep_norm_sweep(space, values)
     k = int(np.argmax(norms))

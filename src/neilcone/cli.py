@@ -36,7 +36,6 @@ from .cone import (
     dual_search,
     pick_problem,
     validate_certificate,
-    validation_grid,
 )
 from .kernels import (
     DEFAULT_SAMPLES,
@@ -66,9 +65,11 @@ def encode_complex(z) -> list:
 def decode_complex(v) -> complex:
     if _is_number(v):
         z = complex(v)
+    elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+        z = complex(float(v[0]), float(v[1]))
     else:
-        re, im = v
-        z = complex(float(re), float(im))
+        raise ValueError("a complex number must be a number or a list "
+                         "[re, im], got %r" % (v,))
     if not cmath.isfinite(z):
         raise ValueError("non-finite number %r" % (v,))
     return z
@@ -177,11 +178,11 @@ def _emit(payload: dict, out_path, summary: str) -> None:
         sys.stdout.write(text)
 
 
-def _audited(cert: DualCertificate, problem: ConeProblem, **grid):
+def _audited(cert: DualCertificate, problem: ConeProblem):
     """Encode ``cert``, decode a copy from those bytes and audit it once."""
     encoded = encode_certificate(cert)
     decoded = decode_certificate(json.loads(_dump(encoded)))
-    return encoded, decoded, validate_certificate(decoded, problem, **grid)
+    return encoded, decoded, validate_certificate(decoded, problem)
 
 
 def _reaudit_failure(cfg: dict, fields: dict):
@@ -251,9 +252,15 @@ def _load_config(args, defaults: dict) -> dict:
         if key in cfg and not _is_number(cfg[key], int):
             raise ValueError("config field '%s' must be an integer" % key)
     grid = cfg.get("grid")
-    if grid is not None and not (isinstance(grid, list)
+    if grid is not None and not (isinstance(grid, list) and len(grid) == 2
                                  and all(_is_number(v, int) for v in grid)):
-        raise ValueError("config field 'grid' must be a list of integers")
+        raise ValueError("config field 'grid' must be a list of integers "
+                         "[radii, angles]")
+    for key in ("samples", "nodes", "targets", "restriction", "a_list",
+                "b_list", "unitary", "target", "s", "t", "x", "y", "u",
+                "embed"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], list):
+            raise ValueError("config field '%s' must be a list" % key)
     tol = cfg.get("tol")
     if tol is not None and not (_is_number(tol) and 0 < tol < math.inf):
         raise ValueError("tolerance must be a positive finite number")
@@ -281,8 +288,7 @@ def _sample_set(cfg) -> SampleSet:
 
 
 def _generator_grid(cfg) -> np.ndarray:
-    radii, angles = cfg["grid"]
-    return default_grid(radii, angles)
+    return default_grid(*cfg["grid"])
 
 
 def _restriction(cfg):
@@ -316,9 +322,10 @@ def cmd_counterexample(args) -> tuple:
                         decode_complex(cfg["lambda2"]), u)
     f_values = f_eval(mb, samples.array())
     target = sigma_kernel(f_values, samples)
-    problem = ConeProblem(samples, 2, _generator_grid(cfg), target)
-    radii, angles = cfg["validation_radii"], cfg["validation_angles"]
-    cert = dual_search(problem, radii, angles)
+    problem = ConeProblem(samples, 2, _generator_grid(cfg), target,
+                          validation_radii=cfg["validation_radii"],
+                          validation_angles=cfg["validation_angles"])
+    cert = dual_search(problem)
     fields = {"diagonal_mixing": kernels.diagonality_test(mb)}
     if cert is None:
         fields.update(status="inconclusive",
@@ -326,9 +333,9 @@ def cmd_counterexample(args) -> tuple:
         return 3, cfg, fields, "inconclusive: no separating functional found"
 
     # The audit of the emitted certificate gates margin_ok.
-    encoded, cert, report = _audited(cert, problem, radii=radii, angles=angles)
+    encoded, cert, report = _audited(cert, problem)
     space = gns.build_gns(cert.w, samples, block_dim=2)
-    lam_grid = validation_grid(radii, angles)
+    lam_grid = problem.audit_grid
     values = test_fn(lam_grid[:, None], samples.array())
     norms = gns.rep_norm_sweep(space, values)
     t = gns.amplified_deficiency(space, f_values)

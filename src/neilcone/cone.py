@@ -89,7 +89,9 @@ class ConeProblem:
     """A membership question: is ``target`` in the cone over ``grid``?
 
     Grids are generator parameters (see ``kernels.extended_points``), with
-    ``np.inf`` for the z^2 generator.
+    ``np.inf`` for the z^2 generator.  ``audit_grid`` is the one set of
+    generators every certificate of the problem is checked on; its dense
+    rings are ``validation_radii`` x ``validation_angles``.
     """
 
     sample_set: SampleSet
@@ -97,6 +99,8 @@ class ConeProblem:
     grid: np.ndarray
     target: MatrixKernel
     generator_restriction: np.ndarray | None = None
+    validation_radii: int = 64
+    validation_angles: int = 128
 
     def __post_init__(self):
         if self.block_dim not in (1, 2):
@@ -120,6 +124,15 @@ class ConeProblem:
         if self.generator_restriction is not None:
             return self.generator_restriction
         return self.grid
+
+    @property
+    def audit_grid(self) -> np.ndarray:
+        """The restriction; otherwise the grid, which holds infinity, then
+        the finite points of the dense rings (see ``validation_grid``)."""
+        if self.generator_restriction is not None:
+            return self.generator_restriction
+        dense = validation_grid(self.validation_radii, self.validation_angles)
+        return np.concatenate([self.grid, dense[1:]])
 
     @property
     def dim(self) -> int:
@@ -155,7 +168,7 @@ class DualCertificate:
     """A separating functional, stored with its audit numbers.
 
     ``grid_margin`` is the worst min-eigenvalue of W - D* W D over the
-    validation grid the search finished on; ``violation`` is trace(W K).
+    problem's audit grid; ``violation`` is trace(W K).
     W is normalized to trace n and must itself stay PSD up to slack, since
     squares lie in the cone.  Every gate is written so that NaN fails it.
     """
@@ -206,9 +219,8 @@ class Undecided:
 class ValidationReport:
     worst_margin: float
     worst_point: complex  # inf for the z^2 generator
-    modulus_estimate: float
+    modulus_estimate: float | None
     grid_size: int
-    margins: np.ndarray
 
 
 @dataclass
@@ -217,7 +229,6 @@ class Cluster:
     total_trace: float
     weight: np.ndarray
     zero_block: np.ndarray | None
-    zero_block_eigs: np.ndarray | None
 
 
 @dataclass
@@ -491,7 +502,7 @@ def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
 
     The working constraint set stays small because margins vary smoothly in
     the parameter; feasibility over the full family is restored afterwards
-    by mixing with the identity and re-audited on the dense grid.
+    by mixing with the identity and re-audited on the audit grid.
     """
     at_inf = np.isinf(grid)
     inf_pts = grid[at_inf][:1]
@@ -576,15 +587,14 @@ def _mixed_with_identity(w, sigma_hat, audit_coefs, floor: float):
     return mixed, vals, viol
 
 
-def dual_search(problem: ConeProblem, radii: int = 64,
-                angles: int = 128) -> DualCertificate | None:
+def dual_search(problem: ConeProblem) -> DualCertificate | None:
     """Look for a separating functional for the target.
 
     Stages: (1) ADMM approximately minimizes trace(W K) over the dual cone
     on a thinned working constraint set; (2) the iterate is made exactly
     PSD, renormalized, and mixed slightly toward the identity, whose margin
     is uniformly large, which converts approximate feasibility into a
-    strict uniform margin over the dense audit grid; (3) one anytime
+    strict uniform margin over ``problem.audit_grid``; (3) one anytime
     Dykstra polish (see ``_dual_polish``), aimed at max(2 v0, L) for the
     mixed violation v0 and the ADMM floor L below, re-tightens the
     violation; (4) the polished W is re-audited and re-mixed.  Each of the
@@ -592,8 +602,6 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     ``DualCertificate``, the one certificate gate, and the lower-violation
     one it accepts is returned.  Returns None when it accepts neither; that
     outcome never claims membership.
-    ``radii`` x ``angles`` is the dense audit grid of an unrestricted
-    problem (see ``validation_grid``).
 
     Polish gate: ADMM also returns a floor L with trace(W K) >= L for every
     W in the working-set dual cone, which contains every W a polish can
@@ -609,14 +617,7 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     if float(np.linalg.norm(sigma_hat)) < 1e-14:
         return None
 
-    audit_grid = problem.effective_grid
-    if problem.generator_restriction is None:
-        # The problem grid (which holds infinity) joins the audit so
-        # certificate margins cover the parameters measures can actually
-        # charge, not just the dense rings.
-        dense = validation_grid(radii, angles)
-        audit_grid = np.concatenate([audit_grid, dense[np.isfinite(dense)]])
-    audit_coefs = _generator_data(audit_grid, samples, d)[1]
+    audit_coefs = _generator_data(problem.audit_grid, samples, d)[1]
 
     work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
@@ -648,42 +649,35 @@ def dual_search(problem: ConeProblem, radii: int = 64,
     for w_c, vals, viol_c in sorted(candidates, key=lambda c: c[2]):
         try:
             return DualCertificate(w_c, float(np.min(vals)), viol_c,
-                                   len(audit_grid))
+                                   len(audit_coefs))
         except ValueError:
             continue
     return None
 
 
-def validate_certificate(cert: DualCertificate, problem: ConeProblem,
-                         fine_grid=None, radii: int = 64,
-                         angles: int = 128) -> ValidationReport:
-    """Audit a certificate's margins on a dense grid it was not fitted to.
+def validate_certificate(cert: DualCertificate,
+                         problem: ConeProblem) -> ValidationReport:
+    """Audit a certificate's margins over ``problem.audit_grid``.
 
-    Reports the worst margin, where it occurs, and an empirical modulus of
-    continuity (largest margin change between neighboring grid parameters);
-    a small modulus backs up reading grid nonnegativity as evidence for the
-    whole family.  ``fine_grid`` overrides the default dense grid (or the
-    restriction set for restricted problems).
+    Reports the worst margin, where it occurs and an empirical modulus of
+    continuity: the largest margin change between neighboring parameters of
+    the dense rings, the last radii x angles audit points.  A small modulus
+    backs up reading grid nonnegativity as evidence for the whole family.
+    A restricted problem has no rings, and its modulus is None.
     """
-    structured = fine_grid is None and problem.generator_restriction is None
-    if fine_grid is not None:
-        pts = extended_points(fine_grid)
-    elif problem.generator_restriction is not None:
-        pts = problem.effective_grid
-    else:
-        pts = validation_grid(radii, angles)
+    pts = problem.audit_grid
     vals = margins(cert.w, _generator_data(pts, problem.sample_set,
                                            problem.block_dim)[1])
     worst = int(np.argmin(vals))
-    if structured:
-        rect = vals[1:].reshape(radii, angles)
+    mod = None
+    if problem.generator_restriction is None:
+        radii, angles = problem.validation_radii, problem.validation_angles
+        rect = vals[-radii * angles:].reshape(radii, angles)
         radial = np.abs(np.diff(rect, axis=0))
         angular = np.abs(rect - np.roll(rect, 1, axis=1))
         mod = float(max(radial.max(initial=0.0), angular.max(initial=0.0)))
-    else:
-        mod = float(np.max(np.abs(np.diff(vals)))) if len(vals) > 1 else 0.0
     return ValidationReport(float(vals[worst]), complex(pts[worst]), mod,
-                            len(pts), vals)
+                            len(pts))
 
 
 def decide(problem: ConeProblem, tol: float = PRIMAL_TOL) -> Decision:
@@ -733,8 +727,8 @@ def recover_structure(measure: DiscreteMeasure,
     the disk (infinity only merges with itself, and its cluster's center is
     inf); clusters below DUST_TRACE total trace are dropped.  For each
     cluster the report aggregates the full weight matrix and, when 0 is a
-    sample point, the block at (0, 0), whose eigenvalues expose rank-one
-    projection structure.  When exactly two clusters survive,
+    sample point, the block at (0, 0), which exposes rank-one projection
+    structure.  When exactly two clusters survive,
     ``projection_deviation`` measures how far the two zero-blocks are from
     complementary projections: the largest of each block's distance from
     its own square (idempotency defect) and the deviation of their sum from
@@ -777,12 +771,10 @@ def recover_structure(measure: DiscreteMeasure,
             continue
         weight = np.sum(measure.blocks[mem], axis=0)
         zb = None
-        zb_eigs = None
         if zero_idx is not None:
             sl = slice(zero_idx * d, (zero_idx + 1) * d)
             zb = weight[sl, sl]
-            zb_eigs = linalg.herm_eigvals_batch(zb[None])[0]
-        clusters.append(Cluster(ctr, mass, weight, zb, zb_eigs))
+        clusters.append(Cluster(ctr, mass, weight, zb))
     clusters.sort(key=lambda c: -c.total_trace)
 
     deviation = None

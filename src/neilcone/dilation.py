@@ -281,7 +281,6 @@ class VarietySweep:
 
     max_norm: float
     witness: complex
-    lambdas: np.ndarray = field(repr=False)
     profile: np.ndarray = field(repr=False)
 
     @property
@@ -299,7 +298,7 @@ def variety_check(pair: VarietyPair, angle_samples: int = ANGLE_SAMPLES) -> Vari
     batch = lam[:, None, None] * pair.s[None] + (1.0 - lam)[:, None, None] * pair.t[None]
     profile = linalg.op_norm_batch(batch)
     k = int(np.argmax(profile))
-    return VarietySweep(float(profile[k]), complex(lam[k]), lam, profile)
+    return VarietySweep(float(profile[k]), complex(lam[k]), profile)
 
 
 @dataclass(frozen=True)

