@@ -81,13 +81,15 @@ def encode_hermitian(w) -> list:
             for i in range(w.shape[0])]
 
 
-def decode_hermitian(rows) -> np.ndarray:
+def decode_hermitian(rows, field: str) -> np.ndarray:
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == i + 1
+            for i, row in enumerate(rows))):
+        raise ValueError("field '%s' must be a lower triangle: a list of "
+                         "rows, row i a list of i + 1 complex numbers" % field)
     n = len(rows)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
-        if len(row) != i + 1:
-            raise ValueError("row %d of a lower triangle must have %d entries"
-                             % (i, i + 1))
         for j, v in enumerate(row):
             out[i, j] = decode_complex(v)
             out[j, i] = np.conj(out[i, j])
@@ -103,7 +105,12 @@ def encode_matrix(a) -> list:
     return [[encode_complex(v) for v in row] for row in a]
 
 
-def decode_matrix(rows) -> np.ndarray:
+def decode_matrix(rows, field: str) -> np.ndarray:
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise ValueError("field '%s' must be a matrix: a list of rows, each a "
+                         "list of the same number of complex numbers" % field)
     return np.array([[decode_complex(v) for v in row] for row in rows],
                     dtype=complex)
 
@@ -127,7 +134,8 @@ def encode_measure(m: DiscreteMeasure) -> dict:
 
 def decode_measure(obj) -> DiscreteMeasure:
     grid = tuple(decode_point(v) for v in obj["grid"])
-    blocks = np.array([decode_hermitian(b) for b in obj["blocks"]])
+    blocks = np.array([decode_hermitian(b, "blocks[%d]" % i)
+                       for i, b in enumerate(obj["blocks"])])
     return DiscreteMeasure(grid, blocks)
 
 
@@ -144,7 +152,7 @@ def encode_certificate(c: DualCertificate) -> dict:
 
 def decode_certificate(obj) -> DualCertificate:
     return DualCertificate(
-        decode_hermitian(obj["w"]),
+        decode_hermitian(obj["w"], "w"),
         float(obj["grid_margin"]),
         float(obj["violation"]),
         int(obj["validation_grid_size"]),
@@ -317,7 +325,7 @@ def cmd_counterexample(args) -> tuple:
     })
     samples = _sample_set(cfg)
     u = (kernels.DEFAULT_UNITARY if cfg["unitary"] is None
-         else decode_matrix(cfg["unitary"]))
+         else decode_matrix(cfg["unitary"], "unitary"))
     mb = MatrixBlaschke(decode_complex(cfg["lambda1"]),
                         decode_complex(cfg["lambda2"]), u)
     f_values = f_eval(mb, samples.array())
@@ -395,7 +403,7 @@ def cmd_cone(args) -> tuple:
                          "given")
     samples = _sample_set(cfg)
     d = cfg["block_dim"]
-    flat = decode_hermitian(cfg["target"])
+    flat = decode_hermitian(cfg["target"], "target")
     target = MatrixKernel(samples, d, flat)
     problem = ConeProblem(samples, d, _generator_grid(cfg), target,
                           generator_restriction=_restriction(cfg))
@@ -407,8 +415,10 @@ def cmd_naimark(args) -> tuple:
     half = [[[0.5, 0.0]]]
     _all_or_none(cfg, "naimark", ("a_list", "b_list"),
                  lambda: ([half, half], [half, half]))
-    a = tuple(decode_hermitian(m) for m in cfg["a_list"])
-    b = tuple(decode_hermitian(m) for m in cfg["b_list"])
+    a = tuple(decode_hermitian(m, "a_list[%d]" % i)
+              for i, m in enumerate(cfg["a_list"]))
+    b = tuple(decode_hermitian(m, "b_list[%d]" % i)
+              for i, m in enumerate(cfg["b_list"]))
     inp = dilation.NaimarkInput(a, b)
     dil = dilation.naimark(inp)
     worst = linalg.op_norm(dil.v.conj().T @ dil.v - np.eye(inp.dim))
@@ -433,7 +443,8 @@ def cmd_variety(args) -> tuple:
     _all_or_none(cfg, "variety", ("s", "t"), lambda: (
         encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
         encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))))
-    pair = dilation.VarietyPair(decode_matrix(cfg["s"]), decode_matrix(cfg["t"]))
+    pair = dilation.VarietyPair(decode_matrix(cfg["s"], "s"),
+                             decode_matrix(cfg["t"], "t"))
     verdict = dilation.variety_verdict(pair, cfg["angles"], cfg["tol"])
     fields = {
         "passed": verdict.passed,
@@ -506,8 +517,8 @@ def cmd_ccverify(args) -> tuple:
                               "n_max": 5, "tol": 1e-10})
     _all_or_none(cfg, "ccverify", ("x", "y", "u", "embed"), _ccverify_default)
     report = dilation.cc_dilation_verify(
-        decode_matrix(cfg["x"]), decode_matrix(cfg["y"]),
-        decode_matrix(cfg["u"]), decode_matrix(cfg["embed"]), cfg["n_max"])
+        *(decode_matrix(cfg[key], key) for key in ("x", "y", "u", "embed")),
+        cfg["n_max"])
     ok = report.ok(cfg["tol"])
     fields = {
         "deviations": [[n, d] for n, d in report.deviations],
@@ -581,8 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: argparse keeps no state between parse_args calls,
+# so every call of ``main`` in a process parses with this one parser.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         # An overflow inside a solve ends at a finiteness gate as an input
         # error; numpy's floating-point warnings would only repeat it.

@@ -295,8 +295,8 @@ def test_commuting_pair_pipeline(tmp_path):
         pytest.fail("dual search inconclusive (exit %d); criterion unmet"
                     % code)
     data = json.loads(out.read_text())
-    x = cli.decode_matrix(data["x"])
-    y = cli.decode_matrix(data["y"])
+    x = cli.decode_matrix(data["x"], "x")
+    y = cli.decode_matrix(data["y"], "y")
     checks = {
         "criteria_met": data["criteria_met"] is True,
         "x_contractive": onorm(x) <= 1.0 + 1e-8,

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,21 +27,21 @@ def test_complex_round_trip():
 def test_hermitian_round_trip():
     rng = np.random.default_rng(30)
     w = random_hermitian(rng, 5)
-    back = cli.decode_hermitian(cli.encode_hermitian(w))
+    back = cli.decode_hermitian(cli.encode_hermitian(w), "w")
     assert np.allclose(back, w, atol=1e-15)
 
 
 def test_hermitian_decode_rejects_bad_shapes():
     with pytest.raises(ValueError, match="lower triangle"):
-        cli.decode_hermitian([[[1.0, 0.0], [0.0, 0.0]]])
+        cli.decode_hermitian([[[1.0, 0.0], [0.0, 0.0]]], "w")
     with pytest.raises(ValueError, match="not real"):
-        cli.decode_hermitian([[[1.0, 0.5]]])
+        cli.decode_hermitian([[[1.0, 0.5]]], "w")
 
 
 def test_matrix_and_point_round_trip():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    assert np.array_equal(cli.decode_matrix(cli.encode_matrix(a)), a)
+    assert np.array_equal(cli.decode_matrix(cli.encode_matrix(a), "a"), a)
     for p in (np.inf, 0.3 - 0.1j):
         assert cli.decode_point(cli.encode_point(p)) == p
     assert cli.encode_point(np.inf) == "inf"
@@ -166,6 +170,80 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# ---------------------------------------------------------------------------
+# one parser per process: main parses with cli.PARSER, built at import
+
+
+def outputs(capsys, argv, out):
+    """Exit code, captured streams and ``--out`` bytes of one main call."""
+    code = cli.main(argv + ["--out", str(out)])
+    return code, capsys.readouterr(), out.read_bytes()
+
+
+def test_usage_error_leaves_no_state(tmp_path, capsys, monkeypatch):
+    argv = ["variety", "--angles", "8"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "PARSER", cli.build_parser())
+        alone = outputs(capsys, argv, tmp_path / "alone.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "--angles", "3"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert outputs(capsys, argv, tmp_path / "after.json") == alone
+    assert alone[0] == 2
+
+
+def test_main_does_not_build_a_parser(tmp_path, monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert run_cli(tmp_path, "variety", "--angles", "8")[0] == 2
+
+
+def test_help_lists_subcommands_and_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in cli._COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: neilcone cone ")
+    for flag in ("--config", "--out", "--tol", "--grid"):
+        assert flag in text
+    assert "--angles" not in text
+
+
+def test_module_runs_as_a_program(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "neilcone.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = run("--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert all(name in done.stdout for name in cli._COMMANDS)
+    out = tmp_path / "child.json"
+    done = run("variety", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stdout.startswith("FAIL: max_norm=")
+    here = tmp_path / "here.json"
+    assert cli.main(["variety", "--out", str(here)]) == 2
+    assert out.read_bytes() == here.read_bytes()
+
+    def reject(token):
+        raise ValueError("non-finite %s in output" % token)
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["kind"] == "variety"
+
+
 def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cone", "--grid", "banana"])
@@ -281,7 +359,18 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     ("counterexample", '{"unitary": 0}',
      "config field 'unitary' must be a list"),
     # Shape errors name the field or the form that was expected, instead
-    # of a tuple-unpacking error.
+    # of a tuple-unpacking, Python type or numpy shape error.
+    ("cone", '{"target": [5]}',
+     "field 'target' must be a lower triangle: a list of rows, row i a list "
+     "of i + 1 complex numbers"),
+    ("counterexample", '{"unitary": [5, 6]}',
+     "field 'unitary' must be a matrix: a list of rows, each a list of the "
+     "same number of complex numbers"),
+    ("counterexample",
+     '{"unitary": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}',
+     "field 'unitary' must be a matrix"),
+    ("naimark", '{"a_list": [[[[0.5, 0.0]]], 5], "b_list": [[[[0.5, 0.0]]]]}',
+     "field 'a_list[1]' must be a lower triangle"),
     ("counterexample", '{"grid": [10]}',
      "field 'grid' must be a list of integers [radii, angles]"),
     ("counterexample", '{"grid": [10, 32, 5]}',
@@ -356,8 +445,12 @@ def test_pick_feasible_emits_measure(tmp_path):
     cfg.write_text(json.dumps({
         "nodes": [cli.encode_complex(z) for z in nodes],
         "targets": [cli.encode_complex(v) for v in w]}))
+    code, data = run_cli(tmp_path, "pick", "--config", str(cfg),
+                         "--tol", "1e-5")
+    assert (code, data["config"]["tol"]) == (0, 1e-5)
+    # The next call in the process gets the config default, not that flag.
     code, data = run_cli(tmp_path, "pick", "--config", str(cfg))
-    assert code == 0
+    assert (code, data["config"]["tol"]) == (0, None)
     assert data["status"] == "feasible"
     assert data["residual"] <= 1e-7
     measure = cli.decode_measure(data["measure"])
@@ -563,7 +656,7 @@ def test_noxy_constructs_violating_pair(tmp_path):
     assert rep["commutator_norm"] <= 1e-8
     assert rep["relation_gap"] <= 1e-8
     assert rep["witness_norm"] >= 1.0 + 1e-3
-    x = cli.decode_matrix(data["x"])
-    y = cli.decode_matrix(data["y"])
+    x = cli.decode_matrix(data["x"], "x")
+    y = cli.decode_matrix(data["y"], "y")
     assert np.max(np.abs(x @ y - y @ x)) <= 1e-10
     cli.decode_certificate(data["certificate"])  # parses and re-validates
