@@ -454,6 +454,9 @@ def cmd_variety(args) -> tuple:
         "max_adjacent_diff": verdict.sweep.max_adjacent_diff,
         "profile": [float(v) for v in verdict.sweep.profile],
     }
+    if verdict.reason is not None:
+        fields["reason"] = verdict.reason
+        return 3, cfg, fields, "inconclusive: %s" % verdict.reason
     return (0 if verdict.passed else 2, cfg, fields,
             "%s: max_norm=%.9f at lambda=%s"
             % ("PASS" if verdict.passed else "FAIL", verdict.max_norm,

@@ -6,7 +6,8 @@ generator parameters and D_g is the diagonal of generator values.  Because
 the D_g are diagonal, both the generator action and its adjoint are Hadamard
 products, which keeps every projection in the solvers entrywise cheap; the
 only nontrivial step is the eigendecomposition behind PSD projections and
-margin checks, done batched across the grid.
+margin checks, done batched over the grid in fixed blocks of
+``linalg.GRID_BLOCK`` generators.
 
 Membership is decided from both sides:
 
@@ -28,6 +29,7 @@ outcome and the two positive outcomes exclude each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +120,11 @@ class ConeProblem:
         if (self.generator_restriction is None
                 and not np.isinf(self.grid).any()):
             raise ValueError("an unrestricted grid must include infinity")
+        # The audit grid is first read after the search has run.
+        if (self.generator_restriction is None
+                and min(self.validation_radii, self.validation_angles) < 1):
+            raise ValueError("the audit rings need at least one radius and "
+                             "one angle")
 
     @property
     def effective_grid(self) -> np.ndarray:
@@ -272,6 +279,38 @@ def margins(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     return linalg.herm_eigvals_batch(stack)[:, 0]
 
 
+def _identity_margin(coefs: np.ndarray) -> float:
+    """The identity's margin over ``coefs``: the least diagonal entry of
+    the A_g, that is 1 - max |d_gi|^2."""
+    return float(np.min(np.real(np.einsum("gii->gi", coefs))))
+
+
+def _stack_audit(coefs: np.ndarray):
+    """The ``audit`` of ``_mixed_with_identity`` over coefficients already
+    in memory (a working set or the effective grid)."""
+    identity = _identity_margin(coefs)
+    return lambda w: (margins(w, coefs), identity)
+
+
+def _audit_margins(w: np.ndarray, problem: ConeProblem):
+    """``margins`` of W over ``problem.audit_grid``, and the identity's.
+
+    A_g is built and solved ``linalg.GRID_BLOCK`` generators at a time, so
+    no array spans the audit grid.  ``margins`` acts matrix by matrix, so
+    the values equal those of one full-stack call bit for bit.
+    Returns (margins, identity margin).
+    """
+    grid = problem.audit_grid
+    step = linalg.GRID_BLOCK
+    vals, identity = [], math.inf
+    for start in range(0, len(grid), step):
+        coefs = _generator_data(grid[start:start + step], problem.sample_set,
+                                problem.block_dim)[1]
+        vals.append(margins(w, coefs))
+        identity = min(identity, _identity_margin(coefs))
+    return np.concatenate(vals), identity
+
+
 def primal_feasibility(problem: ConeProblem,
                        tol: float = PRIMAL_TOL) -> Feasible | Undecided:
     """Search for a representing measure, one atom first, then by splitting.
@@ -337,7 +376,8 @@ def _separating(theta, k_hat, coefs, tol):
     if not tr > 0.0:
         return None
     w *= w.shape[0] / tr
-    w, vals, viol = _mixed_with_identity(w, k_hat, coefs, MARGIN_FLOOR)
+    w, vals, viol = _mixed_with_identity(w, k_hat, _stack_audit(coefs),
+                                         MARGIN_FLOOR)
     if (float(np.min(vals)) >= 0.0
             and viol < -tol * float(np.linalg.norm(w)) - MIN_VIOLATION):
         return w
@@ -442,7 +482,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
     if sig_norm2 == 0.0:
         return None
     n = conj_coefs.shape[1]
-    coefs = np.conj(conj_coefs)
+    audit = _stack_audit(np.conj(conj_coefs))
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
     best = None
     best_viol = float(np.real(np.sum(w0 * np.conj(sigma_hat))))
@@ -459,7 +499,7 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
             # The affine-projected W satisfies the equality constraints
             # exactly; mixing repairs its margins at a small violation cost.
             mixed, vals, viol = _mixed_with_identity(
-                w, sigma_hat, coefs, 0.25 * margin_floor)
+                w, sigma_hat, audit, 0.25 * margin_floor)
             scale = 1.0 + float(np.abs(mixed).max())
             if (viol < best_viol
                     and float(np.min(vals)) >= 0.25 * margin_floor
@@ -564,25 +604,26 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     return w, n * linalg.min_eig(sigma_hat + beta * slack)
 
 
-def _mixed_with_identity(w, sigma_hat, audit_coefs, floor: float):
+def _mixed_with_identity(w, sigma_hat, audit, floor: float):
     """Blend W toward I until audit margins clear ``floor`` uniformly.
 
+    ``audit(W)`` returns W's margins over the audit set and the identity's
+    margin there (``_stack_audit``, ``_audit_margins``).
     margins are concave under mixing: margin((1-t)W + tI) >=
     (1-t) margin(W) + t margin(I), and margin(I), the least diagonal entry
-    of ``audit_coefs`` (at least 1 - max|x|^4), is large, so a small t buys
+    of the A_g (at least 1 - max|x|^4), is large, so a small t buys
     a uniform floor at a proportional violation cost.
     Returns (w_mixed, audit_margins, violation).
     """
-    vals = margins(w, audit_coefs)
+    vals, margin_identity = audit(w)
     worst = float(np.min(vals))
     if worst >= floor:
         viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
         return w, vals, viol
-    margin_identity = float(np.min(np.real(np.einsum("gii->gi", audit_coefs))))
     t = (floor - worst) / (margin_identity - worst)
     t = min(max(t, 0.0), 1.0)
     mixed = (1.0 - t) * w + t * np.eye(w.shape[0])
-    vals = margins(mixed, audit_coefs)
+    vals = audit(mixed)[0]
     viol = float(np.real(np.sum(mixed * np.conj(sigma_hat))))
     return mixed, vals, viol
 
@@ -617,8 +658,6 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     if float(np.linalg.norm(sigma_hat)) < 1e-14:
         return None
 
-    audit_coefs = _generator_data(problem.audit_grid, samples, d)[1]
-
     work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
 
@@ -629,7 +668,8 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
         return None
     w *= n / tr
 
-    w, audit_vals, viol = _mixed_with_identity(w, sigma_hat, audit_coefs,
+    audit = functools.partial(_audit_margins, problem=problem)
+    w, audit_vals, viol = _mixed_with_identity(w, sigma_hat, audit,
                                                MARGIN_FLOOR)
     if not viol <= -MIN_VIOLATION:
         return None
@@ -642,14 +682,14 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
                                 max(2.0 * viol, floor), POLISH_MARGIN)
         if polished is not None:
             candidates.append(_mixed_with_identity(
-                polished, sigma_hat, audit_coefs, MARGIN_FLOOR))
+                polished, sigma_hat, audit, MARGIN_FLOOR))
 
     # Lowest violation first; a stable sort keeps the stage (2) candidate
     # ahead on a tie.
     for w_c, vals, viol_c in sorted(candidates, key=lambda c: c[2]):
         try:
             return DualCertificate(w_c, float(np.min(vals)), viol_c,
-                                   len(audit_coefs))
+                                   len(vals))
         except ValueError:
             continue
     return None
@@ -666,8 +706,7 @@ def validate_certificate(cert: DualCertificate,
     A restricted problem has no rings, and its modulus is None.
     """
     pts = problem.audit_grid
-    vals = margins(cert.w, _generator_data(pts, problem.sample_set,
-                                           problem.block_dim)[1])
+    vals = _audit_margins(cert.w, problem)[0]
     worst = int(np.argmin(vals))
     mod = None
     if problem.generator_restriction is None:

@@ -5,7 +5,7 @@ resolutions of the identity to commuting coordinate projections; a verifier
 that checks whether a pair (X, Y) is compressed from the powers of a single
 unitary; and the norm criterion for extending a commuting pair with equal
 squares to commuting unitaries, via a sweep over the circle of mixing
-coefficients |lambda - 1/2| = 1/2.
+coefficients |lambda - 1/2| = 1/2, proved on the whole circle arc by arc.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ PAIR_TOL = 1e-10
 RADIUS_TOL = 1e-8
 EXTEND_TOL = 1e-12
 ANGLE_SAMPLES = 720
+ARC_EVALS = 1 << 17  # arc centres the whole-circle proof may evaluate
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -289,16 +290,76 @@ class VarietySweep:
         return float(np.max(np.abs(np.diff(self.profile, append=self.profile[0]))))
 
 
+def _mix_norms(pair: VarietyPair, lam: np.ndarray) -> np.ndarray:
+    """||lam s + (1 - lam) t|| for every mixing coefficient in ``lam``,
+    normed ``linalg.GRID_BLOCK`` matrices at a time."""
+    norms = []
+    for start in range(0, len(lam), linalg.GRID_BLOCK):
+        mix = lam[start:start + linalg.GRID_BLOCK, None, None]
+        norms.append(linalg.op_norm_batch(mix * pair.s[None]
+                                          + (1.0 - mix) * pair.t[None]))
+    return np.concatenate(norms)
+
+
 def variety_check(pair: VarietyPair, angle_samples: int = ANGLE_SAMPLES) -> VarietySweep:
     """Sweep the mixing circle and report the largest operator norm seen."""
     if angle_samples < 1:
         raise ValueError("need at least one angle sample")
     theta = 2.0 * np.pi * np.arange(angle_samples) / angle_samples
     lam = 0.5 * (1.0 + np.exp(1j * theta))
-    batch = lam[:, None, None] * pair.s[None] + (1.0 - lam)[:, None, None] * pair.t[None]
-    profile = linalg.op_norm_batch(batch)
+    profile = _mix_norms(pair, lam)
     k = int(np.argmax(profile))
     return VarietySweep(float(profile[k]), complex(lam[k]), profile)
+
+
+def _arc_proof(pair: VarietyPair, sweep: VarietySweep, tol: float):
+    """Carry a passing sweep's bound to the whole circle, arc by arc.
+
+    With C = (s + t)/2 and D = (s - t)/2, the mix at
+    lam = (1 + e^{i theta})/2 is P = C + D e^{i theta}, and ||P||^2 is the
+    top eigenvalue of H(theta) = A + B e^{i theta} + B* e^{-i theta}, with
+    A = C*C + D*D and B = C*D.  ||H'|| <= 2 ||B||, so by Weyl
+    lambda_max H(theta) <= ||P(theta_c)||^2 + 2 ||B|| delta on an arc of
+    half-width delta around theta_c.  The sweep's samples are the first
+    arc centres, with delta = pi / samples.  An arc is proved when that
+    bound plus 64 n^2 eps (||C||_F + ||D||_F)^2, a generous allowance for
+    the rounding in the norms, in ||B|| and in the centres, is at most
+    (1 + tol)^2.  The other arcs are halved and the centres of their halves
+    evaluated, at most ARC_EVALS of them in all.
+
+    Returns (max_norm, witness, reason): the sweep's own when every arc is
+    proved; the largest centre norm above 1 + tol and its lam, from the
+    first round that finds one; or the sweep's with a reason when the
+    evaluations run out first.
+    """
+    c = 0.5 * (pair.s + pair.t)
+    d = 0.5 * (pair.s - pair.t)
+    n = c.shape[0]
+    two_b = 2.0 * linalg.op_norm(c.conj().T @ d)
+    slack = (64.0 * n * n * np.finfo(float).eps
+             * (float(np.linalg.norm(c)) + float(np.linalg.norm(d))) ** 2)
+    limit = (1.0 + tol) ** 2 - slack
+    samples = len(sweep.profile)
+    delta = np.pi / samples
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    norms, evals = sweep.profile, 0
+    while True:
+        k = int(np.argmax(norms))
+        if norms[k] > 1.0 + tol:
+            lam = 0.5 * (1.0 + np.exp(1j * theta[k]))
+            return float(norms[k]), complex(lam), None
+        centres = theta[norms ** 2 + two_b * delta > limit]
+        if not len(centres):
+            return sweep.max_norm, sweep.witness, None
+        if evals + 2 * len(centres) > ARC_EVALS:
+            return sweep.max_norm, sweep.witness, (
+                "%d arcs of half-width %.3e still open after %d "
+                "arc evaluations (cap %d)"
+                % (len(centres), delta, evals, ARC_EVALS))
+        delta /= 2.0
+        theta = np.stack([centres - delta, centres + delta], axis=1).ravel()
+        norms = _mix_norms(pair, 0.5 * (1.0 + np.exp(1j * theta)))
+        evals += len(theta)
 
 
 @dataclass(frozen=True)
@@ -308,6 +369,7 @@ class VarietyVerdict:
     witness: complex
     message: str
     sweep: VarietySweep = field(repr=False)
+    reason: str | None = None  # set when the whole-circle proof ran out
 
 
 def variety_verdict(
@@ -317,16 +379,26 @@ def variety_verdict(
 ) -> VarietyVerdict:
     """Decide whether the pair extends to commuting unitaries with equal squares.
 
-    The sweep bound is the whole criterion: staying within 1 + tol on the
+    The norm bound is the whole criterion: staying within 1 + tol on the
     mixing circle is equivalent to the existence of the unitary extension,
-    and a crossing hands back the witnessing mixing coefficient.  The
-    verdict carries the sweep it was read from.
+    and a crossing hands back the witnessing mixing coefficient.  A sampled
+    sweep finds most crossings; a sweep that stays within the bound passes
+    only once ``_arc_proof`` has carried the bound to every arc between
+    the samples, and is undecided, with a reason, if the proof runs out of
+    evaluations.  The verdict carries the sweep it was read from.
     """
     sweep = variety_check(pair, angle_samples)
-    passed = sweep.max_norm <= 1.0 + tol
-    message = "dilation exists" if passed else (
-        "norm %.9f exceeds 1 at lambda = %s" % (sweep.max_norm, sweep.witness))
-    return VarietyVerdict(passed, sweep.max_norm, sweep.witness, message, sweep)
+    max_norm, witness, reason = sweep.max_norm, sweep.witness, None
+    if max_norm <= 1.0 + tol:
+        max_norm, witness, reason = _arc_proof(pair, sweep, tol)
+    passed = max_norm <= 1.0 + tol and reason is None
+    if passed:
+        message = "dilation exists"
+    elif reason is not None:
+        message = reason
+    else:
+        message = "norm %.9f exceeds 1 at lambda = %s" % (max_norm, witness)
+    return VarietyVerdict(passed, max_norm, witness, message, sweep, reason)
 
 
 def variety_extend(hplus, hminus, z: complex, w: complex):

@@ -100,35 +100,49 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1) -> GnsSpace
     )
 
 
-def _mult_matrices(space: GnsSpace, values_batch):
-    """(matrices, residuals) of quotient multiplication, one per row.
+def _mult_blocks(space: GnsSpace, values_batch):
+    """(matrices, residuals) of quotient multiplication, ``linalg.GRID_BLOCK``
+    rows at a time.
 
     ``values_batch`` has one row of per-sample values per multiplier.  The
     residual of a row measures how much its multiplication moves the
     carrier subspace of the Gram matrix, scaled by the spread of the
     retained spectrum; beyond WELLDEF_TOL the operator is not well defined
-    on the quotient, and the whole batch is rejected rather than projected.
+    on the quotient, and the batch is rejected rather than projected, with
+    the worst row of the first failing block named by its index in the
+    whole batch.
     """
     vals = np.asarray(values_batch, dtype=complex)
     if vals.ndim != 2 or vals.shape[1] != len(space.sample_set):
         raise ValueError("need one value per sample point in every row")
     if space.rank == 0:
-        return np.zeros((len(vals), 0, 0), dtype=complex), np.zeros(len(vals))
-    dg = np.repeat(vals, space.block_dim, axis=1)  # (K, n)
+        yield np.zeros((len(vals), 0, 0), dtype=complex), np.zeros(len(vals))
+        return
     e = space.factor
     basis = e / np.sqrt(space.eigs)[None, :]
-    moved = dg[:, :, None] * basis[None, :, :]  # (K, n, r)
-    leak = moved - basis[None] @ (basis.conj().T[None] @ moved)
     spread = math.sqrt(float(space.eigs[0] / space.eigs[-1]))
-    residuals = linalg.op_norm_batch(leak) * spread
-    worst = int(np.argmax(residuals))
-    if residuals[worst] > WELLDEF_TOL:
-        raise ValueError(
-            "multiplication leaks %.3e out of the quotient carrier (tolerance "
-            "%.1e) for multiplier %d" % (residuals[worst], WELLDEF_TOL, worst)
-        )
-    mats = (e.conj().T[None] @ moved) / np.sqrt(space.eigs)[None, None, :]
-    return mats, residuals
+    step = linalg.GRID_BLOCK
+    for start in range(0, len(vals), step):
+        block = vals[start:start + step]
+        dg = np.repeat(block, space.block_dim, axis=1)  # (K, n)
+        moved = dg[:, :, None] * basis[None, :, :]  # (K, n, r)
+        leak = moved - basis[None] @ (basis.conj().T[None] @ moved)
+        residuals = linalg.op_norm_batch(leak) * spread
+        worst = int(np.argmax(residuals))
+        if residuals[worst] > WELLDEF_TOL:
+            raise ValueError(
+                "multiplication leaks %.3e out of the quotient carrier "
+                "(tolerance %.1e) for multiplier %d"
+                % (residuals[worst], WELLDEF_TOL, start + worst)
+            )
+        mats = (e.conj().T[None] @ moved) / np.sqrt(space.eigs)[None, None, :]
+        yield mats, residuals
+
+
+def _mult_matrices(space: GnsSpace, values_batch):
+    """(matrices, residuals) of a whole batch, gated as in ``_mult_blocks``."""
+    mats, residuals = zip(*_mult_blocks(space, values_batch))
+    return np.concatenate(mats), np.concatenate(residuals)
 
 
 def mult_operator(space: GnsSpace, g_values) -> RepOperator:
@@ -146,8 +160,10 @@ def rep_norm(space: GnsSpace, op: RepOperator) -> float:
 
 def rep_norm_sweep(space: GnsSpace, values_batch) -> np.ndarray:
     """Multiplier norms for a family of functions, one row of per-sample
-    values each; the rows pass the gate of ``_mult_matrices`` as one batch."""
-    return linalg.op_norm_batch(_mult_matrices(space, values_batch)[0])
+    values each, gated and normed one block of rows at a time (see
+    ``_mult_blocks``); the norms equal those of one full-stack call."""
+    return np.concatenate([linalg.op_norm_batch(mats)
+                           for mats, _ in _mult_blocks(space, values_batch)])
 
 
 def amplified_deficiency(space: GnsSpace, f_values: np.ndarray) -> float:

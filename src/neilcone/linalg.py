@@ -21,6 +21,9 @@ RANK_TOL = 1e-9
 ISOMETRY_TOL = 1e-10
 SWEEP_CAP = 60
 SQUARINGS = 40  # steps of repeated squaring in ``spectral_radius``
+# Matrices per batch when a sweep walks a long grid (audit generators,
+# multiplier rows, mixing angles): no sweep holds more than this many at once.
+GRID_BLOCK = 512
 
 # Sweep until the off-diagonal Frobenius norm drops below this multiple of
 # the matrix norm; well below the 1e-11 contract so the residual bound holds

@@ -108,6 +108,36 @@ def test_variety_negated_unitary_passes(tmp_path):
     assert data["max_norm"] == pytest.approx(1.0, abs=1e-12)
 
 
+def peaked_config(tmp_path, p, q):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "s": cli.encode_matrix(np.array([[0.0, p + q], [0.0, 0.0]])),
+        "t": cli.encode_matrix(np.array([[0.0, p - q], [0.0, 0.0]]))}))
+    return str(cfg)
+
+
+def test_variety_fails_between_the_samples(tmp_path):
+    r = 0.5 * (1.0 + 1e-6)
+    cfg = peaked_config(tmp_path, r * np.exp(1j * np.pi / 720), r)
+    code, data = run_cli(tmp_path, "variety", "--config", cfg)
+    assert code == 2
+    assert not data["passed"]
+    assert data["max_norm"] > 1.0 + 1e-8
+    witness = cli.decode_complex(data["witness"])
+    assert abs(np.angle(2.0 * witness - 1.0) - np.pi / 720) < 3e-3
+    assert max(data["profile"]) < 1.0
+    assert "reason" not in data
+
+
+def test_variety_out_of_evaluations_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.dilation, "ARC_EVALS", 1000)
+    cfg = peaked_config(tmp_path, 0.5 * np.exp(0.3j), 0.5)
+    code, data = run_cli(tmp_path, "variety", "--config", cfg)
+    assert code == 3
+    assert not data["passed"]
+    assert "still open" in data["reason"]
+
+
 def test_variety_rejects_noncommuting(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

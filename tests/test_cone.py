@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neilcone import cone, kernels, linalg
+from neilcone import cone, gns, kernels, linalg
 from neilcone.cone import (
     POLISH_MARGIN,
     PRIMAL_TOL,
@@ -593,6 +593,45 @@ def test_validate_certificate_covers_the_audit_grid(perturbed_cert):
     assert report.grid_size == cert.validation_grid_size == len(pts)
     assert report.worst_margin == float(np.min(vals))
     assert report.worst_point == complex(pts[int(np.argmin(vals))])
+
+
+def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
+    # The 8,195-generator audit grid spans many blocks: no eigenvalue batch
+    # of the search, the audit or the norm sweep may hold more than one,
+    # and the blocked results equal one full-stack evaluation bit for bit.
+    problem, _ = perturbed_problem(11)
+    pts = problem.audit_grid
+    assert len(pts) > 2 * linalg.GRID_BLOCK
+    sizes = []
+    eigvals = linalg.herm_eigvals_batch
+
+    def recorder(h):
+        sizes.append(len(h))
+        return eigvals(h)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "herm_eigvals_batch", recorder)
+        cert = dual_search(problem)
+        report = validate_certificate(cert, problem)
+        space = gns.build_gns(cert.w, problem.sample_set)
+        values = kernels.test_fn(pts[:, None], problem.sample_set.array())
+        norms = gns.rep_norm_sweep(space, values)
+    assert sizes and max(sizes) <= linalg.GRID_BLOCK
+
+    full = margins(cert.w, _generator_data(pts, problem.sample_set,
+                                           problem.block_dim)[1])
+    assert np.array_equal(cone._audit_margins(cert.w, problem)[0], full)
+    assert cert.grid_margin == float(np.min(full))
+    assert cert.validation_grid_size == len(pts)
+    rect = full[-64 * 128:].reshape(64, 128)
+    modulus = max(np.abs(np.diff(rect, axis=0)).max(),
+                  np.abs(rect - np.roll(rect, 1, axis=1)).max())
+    assert report.worst_margin == float(np.min(full))
+    assert report.worst_point == complex(pts[int(np.argmin(full))])
+    assert report.modulus_estimate == float(modulus)
+    assert report.grid_size == len(pts)
+    reference = linalg.op_norm_batch(gns._mult_matrices(space, values)[0])
+    assert np.array_equal(norms, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from neilcone import linalg
+from neilcone import dilation, linalg
 from neilcone.dilation import (
     CompressionReport,
     NaimarkDilation,
@@ -229,6 +229,45 @@ def test_verdict_passes_easy_pairs():
     verdict = variety_verdict(VarietyPair(half, half))
     assert verdict.passed
     assert verdict.message == "dilation exists"
+
+
+def peaked_pair(p, q):
+    """Nilpotent pair whose mix has norm |p + q e^{i theta}|, peaking at
+    |p| + |q| where theta = arg p - arg q."""
+    s = np.array([[0.0, p + q], [0.0, 0.0]], dtype=complex)
+    t = np.array([[0.0, p - q], [0.0, 0.0]], dtype=complex)
+    return VarietyPair(s, t)
+
+
+def test_verdict_fails_between_the_samples():
+    # The norm reaches 1 + 1e-6 at theta = pi/720, midway between two of
+    # the 720 samples, where every sample stays below 1.
+    r = 0.5 * (1.0 + 1e-6)
+    pair = peaked_pair(r * np.exp(1j * np.pi / 720), r)
+    assert variety_check(pair).max_norm < 1.0
+    verdict = variety_verdict(pair)
+    assert not verdict.passed and verdict.reason is None
+    assert verdict.max_norm > 1.0 + 1e-8
+    theta = np.angle(2.0 * verdict.witness - 1.0)
+    assert abs(theta - np.pi / 720) < 3e-3
+    lam = verdict.witness
+    assert linalg.op_norm(lam * pair.s + (1.0 - lam) * pair.t) == pytest.approx(
+        verdict.max_norm, abs=1e-12)
+
+
+def test_verdict_proves_a_pair_touching_one():
+    verdict = variety_verdict(peaked_pair(0.5 * np.exp(0.3j), 0.5))
+    assert verdict.passed and verdict.reason is None
+    assert verdict.message == "dilation exists"
+
+
+def test_verdict_out_of_evaluations_is_undecided(monkeypatch):
+    monkeypatch.setattr(dilation, "ARC_EVALS", 1000)
+    verdict = variety_verdict(peaked_pair(0.5 * np.exp(0.3j), 0.5))
+    assert not verdict.passed
+    assert "still open" in verdict.reason
+    assert verdict.message == verdict.reason
+    assert verdict.max_norm <= 1.0
 
 
 def test_sweep_unitary_conjugation_invariance():

@@ -159,6 +159,18 @@ def test_norm_sweep_rejects_when_pointwise_rejects():
         gns.rep_norm_sweep(space, g[None, :])
 
 
+def test_norm_sweep_names_the_leaking_row_of_the_whole_batch():
+    # The sweep runs in blocks; a leaking row past the first block is named
+    # by its index in the batch, not within its block.
+    rng = np.random.default_rng(22)
+    space = build_gns(random_psd(rng, N, rank=4), SAMPLES)
+    batch = np.ones((linalg.GRID_BLOCK + 40, N), dtype=complex)
+    row = linalg.GRID_BLOCK + 18
+    batch[row] = random_values(rng)
+    with pytest.raises(ValueError, match="for multiplier %d$" % row):
+        gns.rep_norm_sweep(space, batch)
+
+
 def test_certificate_norm_bridge():
     # Positivity of W - D* W D on the carrier is the same statement as the
     # multiplier being a contraction; both sides are computed independently.

@@ -1,6 +1,6 @@
-"""Property tests: certificate decoding, the variety subcommand, invalid
-configs for every subcommand, one-atom cone members and the primal
-separation exit on random input.
+"""Property tests: certificate decoding, the variety subcommand and its
+whole-circle verdict, invalid configs for every subcommand, one-atom cone
+members and the primal separation exit on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neilcone import cli, cone
+from neilcone import cli, cone, dilation
 from neilcone.kernels import MatrixKernel, SampleSet
 from conftest import random_psd
 
@@ -83,6 +83,22 @@ def test_variety_on_equal_pairs_exits_cleanly(m):
         assert text.startswith("error: ") and text.count("\n") == 1
     else:
         assert text == ""
+
+
+@FIXED
+@given(phase=st.floats(0.0, 2.0 * np.pi),
+       excess=st.one_of(st.floats(-1e-2, 5e-9), st.floats(2e-8, 1e-2)))
+def test_variety_passes_exactly_within_the_bound(phase, excess):
+    # ||lam s + (1 - lam) t|| = |p + q e^{i theta}| peaks at |p| + |q|
+    # = 1 + excess, at theta = phase: anywhere, mostly between samples.
+    # Excesses in (5e-9, 2e-8), around the default tol of 1e-8, are left
+    # out: there the proof may run out of evaluations, an undecided verdict.
+    p = 0.5 * (1.0 + 2.0 * excess) * np.exp(1j * phase)
+    pair = dilation.VarietyPair(np.array([[0.0, p + 0.5], [0.0, 0.0]]),
+                                np.array([[0.0, p - 0.5], [0.0, 0.0]]))
+    verdict = dilation.variety_verdict(pair)
+    assert verdict.reason is None
+    assert verdict.passed == (excess <= 1e-8)
 
 
 # A valid config per subcommand, and per field the values that are invalid
