@@ -5,11 +5,12 @@ pipeline, Pick-style interpolation checks, raw cone membership, the joint
 dilation of rank-one partitions, the equal-squares variety verdict, the
 commuting-pair model with its norm-violating witness, and the compression
 verifier.  Structured inputs travel in a JSON config file; a handful of
-scalar flags override config fields.  Each subcommand returns its exit
-code, effective config, result fields and summary line, and ``main`` alone
-emits them as JSON with a fixed schema, deterministically: the same
-effective config produces the same bytes.  Every emitted certificate is
-decoded from its own bytes and audited once (``_audited``).
+scalar flags override config fields, and every field is checked and
+decoded by its kind (``_CONFIG``) before a subcommand runs.  ``main``
+alone emits each subcommand's exit code, result fields and summary with
+the effective config, as JSON with a fixed schema, deterministically: the
+same effective config produces the same bytes.  Every emitted certificate
+is decoded from its own bytes and audited once (``_audited``).
 
 Exit codes: 0 affirmative, 2 negative with certificate, 3 inconclusive,
 1 usage or input error.
@@ -193,33 +194,77 @@ def _audited(cert: DualCertificate, problem: ConeProblem):
     return encoded, decoded, validate_certificate(decoded, problem)
 
 
-def _reaudit_failure(cfg: dict, fields: dict):
+def _reaudit_failure(fields: dict):
     """Exit 3: the certificate decoded from the emitted bytes failed its audit."""
     fields.update(status="inconclusive",
                   reason="serialized certificate failed re-validation")
-    return 3, cfg, fields, "inconclusive: re-validation failed"
+    return 3, fields, "inconclusive: re-validation failed"
 
 
-def _decision(cfg: dict, problem: ConeProblem):
+def _decision(tol, problem: ConeProblem):
     """``decide`` at the config's tol: exit 0 feasible, 2 infeasible, else 3."""
-    result = decide(problem, cfg["tol"] or PRIMAL_TOL)
+    result = decide(problem, tol or PRIMAL_TOL)
     fields = {"status": result.status}
     if result.status == "feasible":
         fields["measure"] = encode_measure(result.measure)
         fields["residual"] = result.residual
-        return 0, cfg, fields, "feasible: residual=%.3e" % result.residual
+        return 0, fields, "feasible: residual=%.3e" % result.residual
     if result.status == "infeasible":
         encoded, cert, report = _audited(result.certificate, problem)
         fields["certificate"] = encoded
         if not report.worst_margin >= -cert.eps:
-            return _reaudit_failure(cfg, fields)
-        return 2, cfg, fields, "infeasible: violation=%.6e" % cert.violation
+            return _reaudit_failure(fields)
+        return 2, fields, "infeasible: violation=%.6e" % cert.violation
     fields["residual"] = result.residual
-    return 3, cfg, fields, "undecided: residual=%.3e" % result.residual
+    return 3, fields, "undecided: residual=%.3e" % result.residual
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config: one table holds every subcommand's fields
+
+
+def _ccverify_default():
+    u, _, embed = dilation.truncated_shift(8)
+    x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
+    y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
+    return map(encode_matrix, (x, y, u, embed))
+
+
+# subcommand -> config field -> (default, kind).  A field with a null default
+# is optional, and null there means "not given".  --tol, --grid and --angles
+# override the field of that name, on exactly the subcommands that have it.
+_CONFIG = {
+    "counterexample": {
+        "lambda1": ([0.5, 0.0], "complex"), "lambda2": ([-0.5, 0.0], "complex"),
+        "unitary": (None, "matrix"), "samples": (None, "samples"),
+        "grid": ([10, 32], "grid"), "validation_radii": (64, "count"),
+        "validation_angles": (128, "count"), "margin_floor": (-1e-6, "number"),
+        "deficiency_max": (-1e-4, "number"), "norm_cap": (1e-6, "number")},
+    "pick": {"nodes": (None, "complexes"), "targets": (None, "complexes"),
+             "restriction": (None, "points"), "tol": (None, "tol")},
+    "cone": {"samples": (None, "samples"), "block_dim": (1, "count"),
+             "target": (None, "lower triangle"), "grid": ([10, 32], "grid"),
+             "restriction": (None, "points"), "tol": (None, "tol")},
+    "naimark": {"a_list": (None, "lower triangles"),
+                "b_list": (None, "lower triangles")},
+    "variety": {"s": (None, "matrix"), "t": (None, "matrix"),
+                "angles": (720, "count"), "tol": (1e-8, "tol")},
+    "noxy": {"witness_point": ([0.4, 0.0], "complex"),
+             "samples": (None, "samples")},
+    "ccverify": {"x": (None, "matrix"), "y": (None, "matrix"),
+                 "u": (None, "matrix"), "embed": (None, "matrix"),
+                 "n_max": (5, "count"), "tol": (1e-10, "tol")},
+}
+
+# Inputs that go together: given all or none, and with none, the default set.
+_HALF = [[[0.5, 0.0]]]
+_DEFAULT_SETS = {
+    "naimark": (("a_list", "b_list"), lambda: ([_HALF] * 2, [_HALF] * 2)),
+    "variety": (("s", "t"), lambda: (
+        encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]])))),
+    "ccverify": (("x", "y", "u", "embed"), _ccverify_default),
+}
 
 
 def _finite_number(text: str) -> float:
@@ -229,53 +274,46 @@ def _finite_number(text: str) -> float:
     return value
 
 
-# Config fields read as counts.  JSON floats and booleans are rejected, not
-# truncated: 2.5 angles or ``true`` as a block dimension is an input error.
-_COUNT_FIELDS = ("angles", "n_max", "block_dim", "validation_radii",
-                 "validation_angles")
-
-
 def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _load_config(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh, parse_float=_finite_number,
-                               parse_constant=_finite_number)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise ValueError("unknown config key(s) for %s: %s"
-                             % (args.command, ", ".join(unknown)))
-        cfg.update(loaded)
-    for flag in _FLAGS[args.command]:
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[flag] = list(value) if flag == "grid" else value
-    for key in _COUNT_FIELDS:
-        if key in cfg and not _is_number(cfg[key], int):
-            raise ValueError("config field '%s' must be an integer" % key)
-    grid = cfg.get("grid")
-    if grid is not None and not (isinstance(grid, list) and len(grid) == 2
-                                 and all(_is_number(v, int) for v in grid)):
-        raise ValueError("config field 'grid' must be a list of integers "
-                         "[radii, angles]")
-    for key in ("samples", "nodes", "targets", "restriction", "a_list",
-                "b_list", "unitary", "target", "s", "t", "x", "y", "u",
-                "embed"):
-        if cfg.get(key) is not None and not isinstance(cfg[key], list):
-            raise ValueError("config field '%s' must be a list" % key)
-    tol = cfg.get("tol")
-    if tol is not None and not (_is_number(tol) and 0 < tol < math.inf):
-        raise ValueError("tolerance must be a positive finite number")
-    for key in ("margin_floor", "deficiency_max", "norm_cap"):
-        if key in cfg and not _is_number(cfg[key]):
-            raise ValueError("config field '%s' must be a number" % key)
-    return cfg
+def _decoded(kind: str, value, field: str):
+    """Check the config ``value`` of ``field`` against its kind; decode it.
+
+    Counts are exact: a JSON float or boolean is rejected, not truncated.
+    """
+    if kind == "complex":
+        return decode_complex(value)
+    if kind == "tol":
+        if not (_is_number(value) and 0 < value < math.inf):
+            raise ValueError("tolerance must be a positive finite number")
+        if value >= 1:
+            raise ValueError("tolerance must be below 1")
+        return value
+    if kind in ("count", "number"):
+        if not _is_number(value, int if kind == "count" else (int, float)):
+            raise ValueError("config field '%s' must be %s" % (
+                field, "an integer" if kind == "count" else "a number"))
+        return value
+    if kind == "grid":
+        if not (isinstance(value, list) and len(value) == 2
+                and all(_is_number(v, int) for v in value)):
+            raise ValueError("config field 'grid' must be a list of integers "
+                             "[radii, angles]")
+        return default_grid(*value)
+    if not isinstance(value, list):
+        raise ValueError("config field '%s' must be a list" % field)
+    if kind == "matrix":
+        return decode_matrix(value, field)
+    if kind == "lower triangle":
+        return decode_hermitian(value, field)
+    if kind == "lower triangles":
+        return tuple(decode_hermitian(m, "%s[%d]" % (field, i))
+                     for i, m in enumerate(value))
+    points = tuple(map(decode_point if kind == "points" else decode_complex,
+                       value))
+    return SampleSet(points) if kind == "samples" else points
 
 
 def _all_or_none(cfg, command: str, keys, defaults) -> None:
@@ -288,57 +326,54 @@ def _all_or_none(cfg, command: str, keys, defaults) -> None:
                          % (command, ", ".join(keys[:-1]), keys[-1]))
 
 
-def _sample_set(cfg) -> SampleSet:
-    pts = cfg.get("samples")
-    if pts is None:
-        return DEFAULT_SAMPLES
-    return SampleSet(tuple(decode_complex(p) for p in pts))
-
-
-def _generator_grid(cfg) -> np.ndarray:
-    return default_grid(*cfg["grid"])
-
-
-def _restriction(cfg):
-    pts = cfg.get("restriction")
-    if pts is None:
-        return None
-    return tuple(decode_point(p) for p in pts)
+def _load_config(args):
+    """The echoed config and its decoded values, every field checked."""
+    table = _CONFIG[args.command]
+    given = {}
+    if args.config:
+        with open(args.config) as fh:
+            given = json.load(fh, parse_float=_finite_number,
+                              parse_constant=_finite_number)
+        if not isinstance(given, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(given) - set(table))
+        if unknown:
+            raise ValueError("unknown config key(s) for %s: %s"
+                             % (args.command, ", ".join(unknown)))
+    for flag in _FLAG_SPECS.keys() & table.keys():
+        value = getattr(args, flag)
+        if value is not None:
+            given[flag] = list(value) if flag == "grid" else value
+    cfg = {**{field: default for field, (default, _) in table.items()}, **given}
+    if args.command in _DEFAULT_SETS:
+        _all_or_none(cfg, args.command, *_DEFAULT_SETS[args.command])
+    if given.get("grid") is not None and cfg.get("restriction") is not None:
+        raise ValueError("%s: a grid has no effect when a restriction is "
+                         "given" % args.command)
+    return cfg, {field: None if cfg[field] is None and default is None
+                 else _decoded(kind, cfg[field], field)
+                 for field, (default, kind) in table.items()}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the decoded config values
 
 
-def cmd_counterexample(args) -> tuple:
-    cfg = _load_config(args, {
-        "lambda1": [0.5, 0.0],
-        "lambda2": [-0.5, 0.0],
-        "unitary": None,
-        "samples": None,
-        "grid": [10, 32],
-        "validation_radii": 64,
-        "validation_angles": 128,
-        "margin_floor": -1e-6,
-        "deficiency_max": -1e-4,
-        "norm_cap": 1e-6,
-    })
-    samples = _sample_set(cfg)
-    u = (kernels.DEFAULT_UNITARY if cfg["unitary"] is None
-         else decode_matrix(cfg["unitary"], "unitary"))
-    mb = MatrixBlaschke(decode_complex(cfg["lambda1"]),
-                        decode_complex(cfg["lambda2"]), u)
+def cmd_counterexample(v) -> tuple:
+    samples = v["samples"] or DEFAULT_SAMPLES
+    u = kernels.DEFAULT_UNITARY if v["unitary"] is None else v["unitary"]
+    mb = MatrixBlaschke(v["lambda1"], v["lambda2"], u)
     f_values = f_eval(mb, samples.array())
     target = sigma_kernel(f_values, samples)
-    problem = ConeProblem(samples, 2, _generator_grid(cfg), target,
-                          validation_radii=cfg["validation_radii"],
-                          validation_angles=cfg["validation_angles"])
+    problem = ConeProblem(samples, 2, v["grid"], target,
+                          validation_radii=v["validation_radii"],
+                          validation_angles=v["validation_angles"])
     cert = dual_search(problem)
     fields = {"diagonal_mixing": kernels.diagonality_test(mb)}
     if cert is None:
         fields.update(status="inconclusive",
                       reason="no separating functional found")
-        return 3, cfg, fields, "inconclusive: no separating functional found"
+        return 3, fields, "inconclusive: no separating functional found"
 
     # The audit of the emitted certificate gates margin_ok.
     encoded, cert, report = _audited(cert, problem)
@@ -349,9 +384,9 @@ def cmd_counterexample(args) -> tuple:
     t = gns.amplified_deficiency(space, f_values)
 
     checks = {
-        "margin_ok": bool(report.worst_margin >= cfg["margin_floor"]),
-        "deficiency_ok": bool(t <= cfg["deficiency_max"]),
-        "norms_ok": bool(float(np.max(norms)) <= 1.0 + cfg["norm_cap"]),
+        "margin_ok": bool(report.worst_margin >= v["margin_floor"]),
+        "deficiency_ok": bool(t <= v["deficiency_max"]),
+        "norms_ok": bool(float(np.max(norms)) <= 1.0 + v["norm_cap"]),
     }
     fields.update({
         "status": "certified" if all(checks.values()) else "inconclusive",
@@ -372,54 +407,32 @@ def cmd_counterexample(args) -> tuple:
         "checks": checks,
     })
     if not all(checks.values()):
-        return 3, cfg, fields, "inconclusive: certificate gates failed %r" % checks
-    return 0, cfg, fields, (
+        return 3, fields, "inconclusive: certificate gates failed %r" % checks
+    return 0, fields, (
         "certified: violation=%.6e margin=%.3e deficiency=%.6e max_norm=%.9f"
         % (cert.violation, report.worst_margin, t, float(np.max(norms))))
 
 
-def cmd_pick(args) -> tuple:
-    cfg = _load_config(args, {"nodes": None, "targets": None,
-                              "restriction": None, "tol": None})
-    if not cfg["nodes"] or cfg["targets"] is None:
+def cmd_pick(v) -> tuple:
+    if not v["nodes"] or v["targets"] is None:
         raise ValueError("pick needs config fields 'nodes' and 'targets'")
-    nodes = [decode_complex(v) for v in cfg["nodes"]]
-    targets = [decode_complex(v) for v in cfg["targets"]]
-    problem = pick_problem(nodes, targets, _restriction(cfg))
-    return _decision(cfg, problem)
+    problem = pick_problem(v["nodes"], v["targets"], v["restriction"])
+    return _decision(v["tol"], problem)
 
 
-def cmd_cone(args) -> tuple:
-    cfg = _load_config(args, {"samples": None, "block_dim": 1, "target": None,
-                              "grid": None, "restriction": None,
-                              "tol": None})
-    if cfg["target"] is None:
+def cmd_cone(v) -> tuple:
+    if v["target"] is None:
         raise ValueError("cone needs a config field 'target' (Hermitian lower "
                          "triangle of the flattened kernel)")
-    if cfg["grid"] is None:
-        cfg["grid"] = [10, 32]
-    elif cfg["restriction"] is not None:
-        raise ValueError("cone: a grid has no effect when a restriction is "
-                         "given")
-    samples = _sample_set(cfg)
-    d = cfg["block_dim"]
-    flat = decode_hermitian(cfg["target"], "target")
-    target = MatrixKernel(samples, d, flat)
-    problem = ConeProblem(samples, d, _generator_grid(cfg), target,
-                          generator_restriction=_restriction(cfg))
-    return _decision(cfg, problem)
+    samples = v["samples"] or DEFAULT_SAMPLES
+    target = MatrixKernel(samples, v["block_dim"], v["target"])
+    problem = ConeProblem(samples, v["block_dim"], v["grid"], target,
+                          generator_restriction=v["restriction"])
+    return _decision(v["tol"], problem)
 
 
-def cmd_naimark(args) -> tuple:
-    cfg = _load_config(args, {"a_list": None, "b_list": None})
-    half = [[[0.5, 0.0]]]
-    _all_or_none(cfg, "naimark", ("a_list", "b_list"),
-                 lambda: ([half, half], [half, half]))
-    a = tuple(decode_hermitian(m, "a_list[%d]" % i)
-              for i, m in enumerate(cfg["a_list"]))
-    b = tuple(decode_hermitian(m, "b_list[%d]" % i)
-              for i, m in enumerate(cfg["b_list"]))
-    inp = dilation.NaimarkInput(a, b)
+def cmd_naimark(v) -> tuple:
+    inp = dilation.NaimarkInput(v["a_list"], v["b_list"])
     dil = dilation.naimark(inp)
     worst = linalg.op_norm(dil.v.conj().T @ dil.v - np.eye(inp.dim))
     for mat, proj in zip(inp.a_list + inp.b_list, dil.p_list + dil.q_list):
@@ -433,42 +446,34 @@ def cmd_naimark(args) -> tuple:
         "reconstruction_error": worst,
         "status": "exact" if worst <= 1e-10 else "inexact",
     }
-    return (0 if worst <= 1e-10 else 2, cfg, fields,
+    return (0 if worst <= 1e-10 else 2, fields,
             "%s: reconstruction_error=%.3e" % (fields["status"], worst))
 
 
-def cmd_variety(args) -> tuple:
-    cfg = _load_config(args, {"s": None, "t": None, "angles": 720,
-                              "tol": 1e-8})
-    _all_or_none(cfg, "variety", ("s", "t"), lambda: (
-        encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
-        encode_matrix(np.array([[0.0, 1.0j], [0.0, 0.0]]))))
-    pair = dilation.VarietyPair(decode_matrix(cfg["s"], "s"),
-                             decode_matrix(cfg["t"], "t"))
-    verdict = dilation.variety_verdict(pair, cfg["angles"], cfg["tol"])
+def cmd_variety(v) -> tuple:
+    pair = dilation.VarietyPair(v["s"], v["t"])
+    verdict = dilation.variety_verdict(pair, v["angles"], v["tol"])
     fields = {
         "passed": verdict.passed,
         "max_norm": verdict.max_norm,
         "witness": encode_complex(verdict.witness),
         "message": verdict.message,
         "max_adjacent_diff": verdict.sweep.max_adjacent_diff,
-        "profile": [float(v) for v in verdict.sweep.profile],
+        "profile": [float(x) for x in verdict.sweep.profile],
     }
     if verdict.reason is not None:
         fields["reason"] = verdict.reason
-        return 3, cfg, fields, "inconclusive: %s" % verdict.reason
-    return (0 if verdict.passed else 2, cfg, fields,
+        return 3, fields, "inconclusive: %s" % verdict.reason
+    return (0 if verdict.passed else 2, fields,
             "%s: max_norm=%.9f at lambda=%s"
             % ("PASS" if verdict.passed else "FAIL", verdict.max_norm,
                verdict.witness))
 
 
-def cmd_noxy(args) -> tuple:
-    cfg = _load_config(args, {"witness_point": [0.4, 0.0], "samples": None})
-    samples = _sample_set(cfg)
-    mu = decode_complex(cfg["witness_point"])
-    extended_points([mu])
-    witness = test_fn(mu, samples.array())
+def cmd_noxy(v) -> tuple:
+    samples = v["samples"] or DEFAULT_SAMPLES
+    extended_points([v["witness_point"]])
+    witness = test_fn(v["witness_point"], samples.array())
     target = sigma_kernel(witness[:, None, None], samples)
     # The squaring generators z^2 and z^3 alone, in place of a grid.
     squaring = (np.inf, 0.0)
@@ -476,7 +481,7 @@ def cmd_noxy(args) -> tuple:
                           generator_restriction=squaring)
     cert = dual_search(problem)
     if cert is None:
-        return 3, cfg, {
+        return 3, {
             "status": "inconclusive", "criteria_met": False,
             "reason": "no separating functional for the witness kernel",
         }, "inconclusive: no separating functional"
@@ -500,29 +505,18 @@ def cmd_noxy(args) -> tuple:
         },
     }
     if not met:
-        return 3, cfg, fields, "inconclusive: pair fails a gate"
+        return 3, fields, "inconclusive: pair fails a gate"
     if not audit.worst_margin >= -cert.eps:
-        return _reaudit_failure(cfg, fields)
-    return 0, cfg, fields, (
+        return _reaudit_failure(fields)
+    return 0, fields, (
         "constructed: witness_norm=%.6f x_norm=%.6f y_norm=%.6f"
         % (report.witness_norm, report.x_norm, report.y_norm))
 
 
-def _ccverify_default():
-    u, _, embed = dilation.truncated_shift(8)
-    x = embed.conj().T @ np.linalg.matrix_power(u, 2) @ embed
-    y = embed.conj().T @ np.linalg.matrix_power(u, 3) @ embed
-    return map(encode_matrix, (x, y, u, embed))
-
-
-def cmd_ccverify(args) -> tuple:
-    cfg = _load_config(args, {"x": None, "y": None, "u": None, "embed": None,
-                              "n_max": 5, "tol": 1e-10})
-    _all_or_none(cfg, "ccverify", ("x", "y", "u", "embed"), _ccverify_default)
-    report = dilation.cc_dilation_verify(
-        *(decode_matrix(cfg[key], key) for key in ("x", "y", "u", "embed")),
-        cfg["n_max"])
-    ok = report.ok(cfg["tol"])
+def cmd_ccverify(v) -> tuple:
+    report = dilation.cc_dilation_verify(v["x"], v["y"], v["u"], v["embed"],
+                                         v["n_max"])
+    ok = report.ok(v["tol"])
     fields = {
         "deviations": [[n, d] for n, d in report.deviations],
         "commutator_norm": report.commutator_norm,
@@ -530,7 +524,7 @@ def cmd_ccverify(args) -> tuple:
         "max_deviation": report.max_deviation,
         "status": "compressed" if ok else "mismatch",
     }
-    return (0 if ok else 2, cfg, fields, "%s: max_deviation=%.3e"
+    return (0 if ok else 2, fields, "%s: max_deviation=%.3e"
             % (fields["status"], report.max_deviation))
 
 
@@ -563,21 +557,12 @@ _COMMANDS = {
     "ccverify": cmd_ccverify,
 }
 
-# Scalar flags that override config fields.  Each subcommand registers only
-# the ones it reads, so passing any other is a usage error.
+# Scalar flags that override config fields.  Each subcommand registers those
+# whose field is in its _CONFIG table, so passing any other is a usage error.
 _FLAG_SPECS = {
     "tol": {"type": float, "help": "override the main tolerance"},
     "grid": {"type": _grid_spec, "help": "generator grid as RADIIxANGLES"},
     "angles": {"type": int, "help": "angle samples for circle sweeps"},
-}
-_FLAGS = {
-    "counterexample": ("grid",),
-    "pick": ("tol",),
-    "cone": ("tol", "grid"),
-    "naimark": (),
-    "variety": ("tol", "angles"),
-    "noxy": (),
-    "ccverify": ("tol",),
 }
 
 
@@ -586,11 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
                      description="cone membership, certificates, and dilations "
                                  "for the constrained disk algebra")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help="run the %s pipeline" % name)
+    for name, table in _CONFIG.items():
+        rows = ["config fields: kind, default (null: not given)"] + [
+            "  %-18s %-16s %s" % (field, kind, json.dumps(default))
+            for field, (default, kind) in table.items()]
+        if name in _DEFAULT_SETS:
+            rows.append("  %s: all or none; none means a default set"
+                        % ", ".join(_DEFAULT_SETS[name][0]))
+        p = sub.add_parser(name, help="run the %s pipeline" % name,
+                           epilog="\n".join(rows),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="JSON file with structured inputs")
         p.add_argument("--out", help="write the JSON result here")
-        for flag in _FLAGS[name]:
+        for flag in [flag for flag in _FLAG_SPECS if flag in table]:
             p.add_argument("--" + flag, **_FLAG_SPECS[flag])
     return parser
 
@@ -606,7 +599,8 @@ def main(argv=None) -> int:
         # An overflow inside a solve ends at a finiteness gate as an input
         # error; numpy's floating-point warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            code, cfg, fields, summary = _COMMANDS[args.command](args)
+            cfg, values = _load_config(args)
+            code, fields, summary = _COMMANDS[args.command](values)
         _emit({"schema_version": SCHEMA_VERSION, "kind": args.command,
                "config": cfg, **fields}, args.out, summary)
         return code

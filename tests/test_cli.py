@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -245,6 +246,10 @@ def test_help_lists_subcommands_and_flags(capsys):
     for flag in ("--config", "--out", "--tol", "--grid"):
         assert flag in text
     assert "--angles" not in text
+    # The config fields come from cli._CONFIG, with kind and default.
+    for field in ("target", "block_dim", "restriction"):
+        assert field in text
+    assert re.search(r"\n +block_dim +count +1\n", text)
 
 
 def test_module_runs_as_a_program(tmp_path):
@@ -384,6 +389,11 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
     ("cone", '{"tol": true}', "tolerance must be a positive finite"),
     ("variety", '{"tol": true}', "tolerance must be a positive finite"),
     ("ccverify", '{"tol": true}', "tolerance must be a positive finite"),
+    # One tol rule, 0 < tol < 1, on every subcommand that has a tol: the
+    # default variety pair peaks at sqrt(2), which a tol of 5 would pass.
+    ("variety", '{"tol": 5}', "tolerance must be below 1"),
+    ("variety", '{"tol": 1e300}', "tolerance must be below 1"),
+    ("ccverify", '{"tol": 2}', "tolerance must be below 1"),
     # An empty or non-list unitary reaches MatrixBlaschke, not the default.
     ("counterexample", '{"unitary": []}', "mixing matrix must be 2x2"),
     ("counterexample", '{"unitary": 0}',

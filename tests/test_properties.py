@@ -1,6 +1,6 @@
 """Property tests: certificate decoding, the variety subcommand and its
-whole-circle verdict, invalid configs for every subcommand, one-atom cone
-members and the primal separation exit on random input.
+whole-circle verdict, invalid and type-valid configs for every subcommand,
+one-atom cone members and the primal separation exit on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -178,6 +178,104 @@ def test_invalid_config_field_exits_one(case):
     assert (code, wrote, caught) == (1, False, [])
     text = err.getvalue()
     assert text.startswith("error: ") and text.count("\n") == 1
+
+
+# Values of each config kind, kept small: 2-3 samples, grids and audit rings
+# of at most 3x8, restrictions of 2-3 points and matrices of at most 3x3.
+# Point lists draw from well separated points, and one config shares one
+# list length and one matrix size, so that many configs reach a solve.
+DISK_POINTS = (0.5, -0.3 + 0.2j, 0.3j, 0.0, -0.5, -0.3j, 0.6, 0.25 - 0.4j)
+disk_point = st.sampled_from(DISK_POINTS).map(cli.encode_complex)
+any_complex = disk_point | st.complex_numbers(
+    max_magnitude=2.0, allow_nan=False).map(cli.encode_complex)
+
+
+@st.composite
+def lower_triangle(draw, n):
+    return [[draw(any_complex) for _ in range(i)]
+            + [[draw(st.floats(-2.0, 2.0)), 0.0]] for i in range(n)]
+
+
+def kind_values(kind: str, size: int, n: int):
+    points = st.lists(disk_point, min_size=size, max_size=size, unique_by=str)
+    matrix = st.lists(st.lists(any_complex, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return {
+        "complex": st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9,
+                                      allow_nan=False).map(cli.encode_complex),
+        "count": st.integers(1, 3),
+        "number": st.floats(-1.0, 1.0),
+        "tol": st.floats(1e-10, 0.5),
+        "grid": st.tuples(st.integers(1, 3), st.integers(1, 8)).map(list),
+        "samples": points,
+        "complexes": points,
+        "points": st.lists(st.just("inf") | disk_point, min_size=size,
+                           max_size=size, unique_by=str),
+        "matrix": matrix,
+        "lower triangle": lower_triangle(n),
+        "lower triangles": st.lists(lower_triangle(n), min_size=size,
+                                    max_size=size),
+    }[kind]
+
+
+@st.composite
+def valid_configs(draw):
+    command = draw(st.sampled_from(sorted(cli._CONFIG)))
+    size, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    default_set = cli._DEFAULT_SETS.get(command, ((),))[0]
+    config, use_default_set = {}, draw(st.booleans())
+    for field, (default, kind) in cli._CONFIG[command].items():
+        if field in default_set:
+            config[field] = None if use_default_set else draw(
+                kind_values(kind, size, n))
+            continue
+        value = kind_values(kind, size, n)
+        if field == "validation_angles":  # audit rings of at most 3x8
+            value = st.integers(1, 8)
+        if default is None and field != "samples":
+            value = st.none() | value
+        config[field] = draw(value)
+    if command == "cone":
+        if config["restriction"] is not None:
+            del config["grid"]
+        if draw(st.booleans()):  # a target of the problem's size
+            dim = len(config["samples"]) * config["block_dim"]
+            config["target"] = draw(lower_triangle(dim))
+    return command, config
+
+
+def reject_constant(token):
+    raise ValueError("non-finite %s in output" % token)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=valid_configs())
+def test_type_valid_config_exits_cleanly(case):
+    command, config = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name, cap in (("PRIMAL_MAX_ITER", 64), ("ADMM_ITERS", 100),
+                          ("POLISH_ITERS", 100)):
+            mp.setattr(cone, name, cap)
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(tmp) / "out.json"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        text = out.read_text() if out.exists() else None
+    assert code in (0, 1, 2, 3) and caught == []
+    if code == 1:
+        assert text is None
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        data = json.loads(text, parse_constant=reject_constant)
+        assert data["kind"] == command
 
 
 ATOM_SAMPLES = (0.0, 0.4, -0.3 + 0.2j)
