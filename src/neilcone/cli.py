@@ -188,10 +188,12 @@ def _emit(payload: dict, out_path, summary: str) -> None:
 
 
 def _audited(cert: DualCertificate, problem: ConeProblem):
-    """Encode ``cert``, decode a copy from those bytes and audit it once."""
+    """Encode ``cert``, decode a copy from those bytes and audit it once:
+    (encoded, copy, report, ok), ok when the worst margin clears -copy.eps."""
     encoded = encode_certificate(cert)
     decoded = decode_certificate(json.loads(_dump(encoded)))
-    return encoded, decoded, validate_certificate(decoded, problem)
+    report = validate_certificate(decoded, problem)
+    return encoded, decoded, report, bool(report.worst_margin >= -decoded.eps)
 
 
 def _reaudit_failure(fields: dict):
@@ -210,9 +212,9 @@ def _decision(tol, problem: ConeProblem):
         fields["residual"] = result.residual
         return 0, fields, "feasible: residual=%.3e" % result.residual
     if result.status == "infeasible":
-        encoded, cert, report = _audited(result.certificate, problem)
+        encoded, cert, _, ok = _audited(result.certificate, problem)
         fields["certificate"] = encoded
-        if not report.worst_margin >= -cert.eps:
+        if not ok:
             return _reaudit_failure(fields)
         return 2, fields, "infeasible: violation=%.6e" % cert.violation
     fields["residual"] = result.residual
@@ -238,8 +240,7 @@ _CONFIG = {
         "lambda1": ([0.5, 0.0], "complex"), "lambda2": ([-0.5, 0.0], "complex"),
         "unitary": (None, "matrix"), "samples": (None, "samples"),
         "grid": ([10, 32], "grid"), "validation_radii": (64, "count"),
-        "validation_angles": (128, "count"), "margin_floor": (-1e-6, "number"),
-        "deficiency_max": (-1e-4, "number"), "norm_cap": (1e-6, "number")},
+        "validation_angles": (128, "count")},
     "pick": {"nodes": (None, "complexes"), "targets": (None, "complexes"),
              "restriction": (None, "points"), "tol": (None, "tol")},
     "cone": {"samples": (None, "samples"), "block_dim": (1, "count"),
@@ -291,10 +292,9 @@ def _decoded(kind: str, value, field: str):
         if value >= 1:
             raise ValueError("tolerance must be below 1")
         return value
-    if kind in ("count", "number"):
-        if not _is_number(value, int if kind == "count" else (int, float)):
-            raise ValueError("config field '%s' must be %s" % (
-                field, "an integer" if kind == "count" else "a number"))
+    if kind == "count":
+        if not _is_number(value, int):
+            raise ValueError("config field '%s' must be an integer" % field)
         return value
     if kind == "grid":
         if not (isinstance(value, list) and len(value) == 2
@@ -375,18 +375,17 @@ def cmd_counterexample(v) -> tuple:
                       reason="no separating functional found")
         return 3, fields, "inconclusive: no separating functional found"
 
-    # The audit of the emitted certificate gates margin_ok.
-    encoded, cert, report = _audited(cert, problem)
+    # The gates read the emitted certificate's eps and delta, and PAIR_TOL.
+    encoded, cert, report, margin_ok = _audited(cert, problem)
     space = gns.build_gns(cert.w, samples, block_dim=2)
-    lam_grid = problem.audit_grid
-    values = test_fn(lam_grid[:, None], samples.array())
-    norms = gns.rep_norm_sweep(space, values)
+    values = test_fn(problem.audit_grid[:, None], samples.array())
+    max_norm = float(np.max(gns.rep_norm_sweep(space, values)))
     t = gns.amplified_deficiency(space, f_values)
 
     checks = {
-        "margin_ok": bool(report.worst_margin >= v["margin_floor"]),
-        "deficiency_ok": bool(t <= v["deficiency_max"]),
-        "norms_ok": bool(float(np.max(norms)) <= 1.0 + v["norm_cap"]),
+        "margin_ok": margin_ok,
+        "deficiency_ok": t <= -cert.delta,
+        "norms_ok": max_norm <= 1.0 + gns.PAIR_TOL,
     }
     fields.update({
         "status": "certified" if all(checks.values()) else "inconclusive",
@@ -400,8 +399,8 @@ def cmd_counterexample(v) -> tuple:
         "representation": {
             "dim": problem.dim,
             "rank": space.rank,
-            "max_test_norm": float(np.max(norms)),
-            "norm_grid_size": len(lam_grid),
+            "max_test_norm": max_norm,
+            "norm_grid_size": len(values),
             "deficiency": t,
         },
         "checks": checks,
@@ -410,7 +409,7 @@ def cmd_counterexample(v) -> tuple:
         return 3, fields, "inconclusive: certificate gates failed %r" % checks
     return 0, fields, (
         "certified: violation=%.6e margin=%.3e deficiency=%.6e max_norm=%.9f"
-        % (cert.violation, report.worst_margin, t, float(np.max(norms))))
+        % (cert.violation, report.worst_margin, t, max_norm))
 
 
 def cmd_pick(v) -> tuple:
@@ -485,7 +484,7 @@ def cmd_noxy(v) -> tuple:
             "status": "inconclusive", "criteria_met": False,
             "reason": "no separating functional for the witness kernel",
         }, "inconclusive: no separating functional"
-    encoded, cert, audit = _audited(cert, problem)
+    encoded, cert, _, audit_ok = _audited(cert, problem)
     x, y, report = gns.build_noxy(samples, cert.w, witness)
     met = bool(report.contractive() and report.relations_hold()
                and report.norm_violated())
@@ -506,7 +505,7 @@ def cmd_noxy(v) -> tuple:
     }
     if not met:
         return 3, fields, "inconclusive: pair fails a gate"
-    if not audit.worst_margin >= -cert.eps:
+    if not audit_ok:
         return _reaudit_failure(fields)
     return 0, fields, (
         "constructed: witness_norm=%.6f x_norm=%.6f y_norm=%.6f"

@@ -41,7 +41,7 @@ from neilcone.kernels import MatrixKernel, SampleSet, extended_points, test_fn
 GRID_EPS = 1e-8          # allowed margin slack on the problem grid
 MIN_VIOLATION = 1e-4     # a certificate must beat the target by this much
 PRIMAL_TOL = 1e-7        # residual at which a measure counts as exact
-BLOCK_PSD_TOL = 1e-9     # PSD slack allowed on measure blocks
+BLOCK_PSD_TOL = 1e-9     # measure blocks: eigenvalues >= -tol (1 + max|entry|)
 MERGE_DISTANCE = 0.05    # grid points this close aggregate into one cluster
 DUST_TRACE = 1e-6        # clusters below this total trace are discarded
 AUDIT_RADIUS = 0.999     # outermost ring of the dense audit grid
@@ -146,6 +146,13 @@ class ConeProblem:
         return len(self.sample_set) * self.block_dim
 
 
+def _blocks_psd(blocks) -> bool:
+    """The PSD rule of measure blocks, which NaN fails."""
+    floor = float(np.min(linalg.min_eig_batch(blocks)))
+    scale = 1.0 + float(np.max(np.abs(blocks), initial=0.0))
+    return floor >= -BLOCK_PSD_TOL * scale
+
+
 @dataclass
 class DiscreteMeasure:
     """A matrix measure supported on finitely many generator parameters."""
@@ -158,12 +165,8 @@ class DiscreteMeasure:
         blocks = linalg.from_lower(np.asarray(self.blocks, dtype=complex))
         if blocks.ndim != 3 or blocks.shape[0] != len(self.grid):
             raise ValueError("need one square block per grid point")
-        floor = np.min(linalg.min_eig_batch(blocks))
-        scale = 1.0 + float(np.max(np.abs(blocks), initial=0.0))
-        if floor < -BLOCK_PSD_TOL * scale:
-            raise ValueError(
-                "measure block has eigenvalue %.3e beyond the PSD tolerance" % floor
-            )
+        if not _blocks_psd(blocks):
+            raise ValueError("measure block is not PSD within tolerance")
         self.blocks = blocks
 
     def total_trace(self) -> float:
@@ -318,7 +321,7 @@ def primal_feasibility(problem: ConeProblem,
     The exact first step: a measure with one atom g represents K only as
     M = K / A_g entrywise, so the floors of all those matrices, taken in
     one batched eigenvalue call, decide every one-atom case.  The first
-    generator in grid order whose matrix is PSD within BLOCK_PSD_TOL, and
+    generator in grid order whose matrix passes ``_blocks_psd`` alone, and
     whose stored block reproduces the target within the acceptance bound,
     is returned as a one-atom measure.
 
@@ -424,11 +427,8 @@ def _dr_run(coefs, k_hat, tol):
         )
         best = min(best, residual)
         history.append(best)
-        if residual <= tol:
-            floor = float(np.min(linalg.min_eig_batch(y)))
-            scale = 1.0 + float(np.max(np.abs(y), initial=0.0))
-            if floor >= -BLOCK_PSD_TOL * scale:
-                return y, residual, it
+        if residual <= tol and _blocks_psd(y):
+            return y, residual, it
         if (it & (it - 1) == 0
                 and _separating(theta, k_hat, coefs, tol) is not None):
             return None, best, it
@@ -460,14 +460,14 @@ def _project_affine(w_tilde, ys, conj_coefs, denom_s, trace_target):
     return w, w[None, :, :] * conj_coefs
 
 
-def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor):
+def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin):
     """Anytime Dykstra search for W with trace(W Sigma) near ``v_target``.
 
     Cycles three sets in product space: the affine slab tying Y_g to W with
     trace W = n, the PSD product cone (W itself and every Y_g - margin I),
     and the violation halfspace.  Corrections are kept for the two non-affine
     sets.  Every 25 iterations the affine-projected W is mixed toward I until
-    its margins over the work grid clear 0.25 ``margin_floor`` (see
+    its margins over the work grid clear 0.25 ``margin`` (see
     ``_mixed_with_identity``), and the mix is kept when it is PSD and pairs
     lower with Sigma than the best so far (``w0`` at the start).
 
@@ -499,10 +499,10 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
             # The affine-projected W satisfies the equality constraints
             # exactly; mixing repairs its margins at a small violation cost.
             mixed, vals, viol = _mixed_with_identity(
-                w, sigma_hat, audit, 0.25 * margin_floor)
+                w, sigma_hat, audit, 0.25 * margin)
             scale = 1.0 + float(np.abs(mixed).max())
             if (viol < best_viol
-                    and float(np.min(vals)) >= 0.25 * margin_floor
+                    and float(np.min(vals)) >= 0.25 * margin
                     and linalg.min_eig(mixed) >= -1e-9 * scale):
                 best, best_viol = linalg.from_lower(mixed), viol
                 if viol <= v_target + 0.1 * abs(v_target):
@@ -511,11 +511,11 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin_floor
         shifted_w = w + corr_cone_w
         shifted_y = ys + corr_cone_y
         stack = np.concatenate(
-            [shifted_w[None], shifted_y - margin_floor * eye[None]], axis=0
+            [shifted_w[None], shifted_y - margin * eye[None]], axis=0
         )
         proj = linalg.psd_project_batch(stack)
         new_w = proj[0]
-        new_y = proj[1:] + margin_floor * eye[None]
+        new_y = proj[1:] + margin * eye[None]
         corr_cone_w = shifted_w - new_w
         corr_cone_y = shifted_y - new_y
         gap = float(np.linalg.norm(new_w - w)) + float(np.linalg.norm(new_y - ys))

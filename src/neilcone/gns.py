@@ -24,8 +24,8 @@ from .kernels import SampleSet, sigma_kernel
 #: Multiplication must leak at most this much out of the carrier subspace.
 WELLDEF_TOL = 1e-6
 
-#: Commuting-pair gates: contraction norm slack and relation residual
-#: (XY = YX, X^3 = Y^2), and the excess the witness norm must show.
+#: Pair gates: norm slack (also the counterexample's ``norms_ok``), relation
+#: residual (XY = YX, X^3 = Y^2), and the excess the witness norm must show.
 PAIR_TOL = 1e-8
 WITNESS_EXCESS = 1e-3
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -419,6 +420,10 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys):
      "config field 'restriction' must be a list"),
     ("counterexample", '{"lambda1": [0.5]}',
      "a complex number must be a number or a list [re, im], got [0.5]"),
+    # The certificate's own eps and delta and the pair slack gate a
+    # counterexample; no config field moves them.
+    ("counterexample", '{"margin_floor": -1e-6}',
+     "unknown config key(s) for counterexample: margin_floor"),
     # Defaults come as a set: one of them beside a given input would pose a
     # question nobody asked.
     ("naimark", '{"a_list": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}',
@@ -607,6 +612,12 @@ def test_counterexample_diagonal_mixing_inconclusive(tmp_path):
     assert data["diagonal_mixing"] is True
 
 
+# A small counterexample problem whose certificate passes every gate.
+SMALL_COUNTEREXAMPLE = {
+    "samples": [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]], "grid": [2, 8],
+    "validation_radii": 4, "validation_angles": 8}
+
+
 def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
                                                            monkeypatch):
     audited = []
@@ -631,12 +642,14 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
 
     monkeypatch.setattr(cone, "_dual_polish", counting_polish)
     monkeypatch.setattr(cli, "dual_search", counting_search)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "samples": [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]], "grid": [2, 8],
-        "validation_radii": 4, "validation_angles": 8}))
-    code, data = run_cli(tmp_path, "counterexample", "--config", str(cfg))
+    code, data = run_raw_config(tmp_path, "counterexample",
+                                json.dumps(SMALL_COUNTEREXAMPLE))
     assert (code, data["status"]) == (0, "certified")
+    # Each gate holds at the emitted certificate's own numbers.
+    cert = data["certificate"]
+    assert data["validation"]["worst_margin"] >= -cert["eps"]
+    assert data["representation"]["deficiency"] <= -cert["delta"]
+    assert data["representation"]["max_test_norm"] <= 1.0 + gns.PAIR_TOL
     assert calls in (["search"], ["search", "polish"])
     assert len(audited) == 1
     emitted = cli.decode_certificate(data["certificate"])
@@ -647,6 +660,28 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
             == data["certificate"]["validation_grid_size"]
             == data["representation"]["norm_grid_size"]
             == 2 * 8 + 4 * 8 + 1)
+
+
+def test_counterexample_gates_read_the_certificate(tmp_path, monkeypatch):
+    # A re-audited margin of -5e-7 misses the certificate's eps (1e-8), and
+    # a test norm of 1 + 5e-7 misses the pair slack gns.PAIR_TOL (1e-8);
+    # either is within 1e-6 of its bound, so only gates at those slacks
+    # catch them.
+    audit = cli.validate_certificate
+
+    def shallow_audit(cert, problem):
+        return dataclasses.replace(audit(cert, problem), worst_margin=-5e-7)
+
+    def long_norms(space, values):
+        return np.full(len(values), 1.0 + 5e-7)
+
+    monkeypatch.setattr(cli, "validate_certificate", shallow_audit)
+    monkeypatch.setattr(cli.gns, "rep_norm_sweep", long_norms)
+    code, data = run_raw_config(tmp_path, "counterexample",
+                                json.dumps(SMALL_COUNTEREXAMPLE))
+    assert (code, data["status"]) == (3, "inconclusive")
+    assert data["checks"] == {"margin_ok": False, "deficiency_ok": True,
+                              "norms_ok": False}
 
 
 @pytest.mark.parametrize("command, want", [("cone", 2), ("noxy", 0)])

@@ -121,9 +121,7 @@ BAD_FIELDS = {
         "lambda1": BAD_POINT, "lambda2": BAD_POINT, "unitary": BAD_MATRIX,
         "samples": BAD_POINTS, "grid": ["abc", [], True, [1, 2, 3], [0, 8],
                                         [2.5, 8], [OVERFLOW, 8]],
-        "validation_radii": BAD_COUNT, "validation_angles": BAD_COUNT,
-        "margin_floor": BAD_NUMBER, "deficiency_max": BAD_NUMBER,
-        "norm_cap": BAD_NUMBER}),
+        "validation_radii": BAD_COUNT, "validation_angles": BAD_COUNT}),
     "pick": ({"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [0.0, 0.1]}, {
         "nodes": BAD_POINTS, "targets": BAD_POINTS[:-1] + [[1, 2, 3]],
         "restriction": BAD_POINTS, "tol": BAD_TOL}),
@@ -204,7 +202,6 @@ def kind_values(kind: str, size: int, n: int):
         "complex": st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9,
                                       allow_nan=False).map(cli.encode_complex),
         "count": st.integers(1, 3),
-        "number": st.floats(-1.0, 1.0),
         "tol": st.floats(1e-10, 0.5),
         "grid": st.tuples(st.integers(1, 3), st.integers(1, 8)).map(list),
         "samples": points,
