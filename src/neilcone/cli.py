@@ -173,8 +173,10 @@ def _json_default(o):
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
+    """Compact JSON with sorted keys, one line and a newline; compact output
+    keeps CPython's C encoder (``indent`` falls back to the pure-Python one)."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True,
+                      allow_nan=False, default=_json_default) + "\n"
 
 
 def _emit(payload: dict, out_path, summary: str) -> None:

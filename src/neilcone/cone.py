@@ -55,8 +55,13 @@ STALL_RATIO = 0.98       # stall rule: less than 2% gain per window
 ADMM_ITERS = 3000
 ADMM_BETA = 0.3          # initial penalty, rebalanced every ADMM_CHECK
 ADMM_RELAX = 1.6         # over-relaxation
-ADMM_CHECK = 50
+ADMM_CHECK = 50          # iterations between the stop tests below
 ADMM_STALL = 1e-5        # relative violation change that ends ADMM
+# The gain a polish must be able to make (see ``_gain_unreachable``).  ADMM
+# also ends at the first check where its weak-duality floor L shows that no
+# W in the working-set dual cone beats the violation of its feasible
+# iterate by this factor: later iterations could then buy at most that gap.
+POLISH_GAIN = 1.05
 POLISH_MARGIN = 1e-5     # margin floor the polish enforces on the work grid
 POLISH_ITERS = 2500
 MARGIN_FLOOR = 1e-5      # audit margin that identity mixing restores
@@ -153,6 +158,12 @@ def _blocks_psd(blocks) -> bool:
     return floor >= -BLOCK_PSD_TOL * scale
 
 
+def _functional_psd(w, eps: float) -> bool:
+    """The PSD rule of a functional W, which NaN fails:
+    min_eig(W) >= -eps max(1, max|W|)."""
+    return linalg.min_eig(w) >= -eps * max(1.0, float(np.abs(w).max()))
+
+
 @dataclass
 class DiscreteMeasure:
     """A matrix measure supported on finitely many generator parameters."""
@@ -209,7 +220,7 @@ class DualCertificate:
                 "certificate violation %.3e does not clear -%.1e"
                 % (self.violation, self.delta)
             )
-        if not linalg.min_eig(self.w) >= -self.eps * max(1.0, float(np.abs(self.w).max())):
+        if not _functional_psd(self.w, self.eps):
             raise ValueError("certificate is not PSD within tolerance")
 
 
@@ -469,7 +480,9 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin):
     sets.  Every 25 iterations the affine-projected W is mixed toward I until
     its margins over the work grid clear 0.25 ``margin`` (see
     ``_mixed_with_identity``), and the mix is kept when it is PSD and pairs
-    lower with Sigma than the best so far (``w0`` at the start).
+    lower with Sigma than the best so far (``w0`` at the start).  PSD means
+    ``DualCertificate``'s rule at its default eps, so every mix the polish
+    keeps passes that gate's PSD test.
 
     Returns a kept W as soon as it lies in the band
     v_target + 0.1 |v_target|; otherwise, at the plateau test or the
@@ -500,10 +513,9 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin):
             # exactly; mixing repairs its margins at a small violation cost.
             mixed, vals, viol = _mixed_with_identity(
                 w, sigma_hat, audit, 0.25 * margin)
-            scale = 1.0 + float(np.abs(mixed).max())
             if (viol < best_viol
                     and float(np.min(vals)) >= 0.25 * margin
-                    and linalg.min_eig(mixed) >= -1e-9 * scale):
+                    and _functional_psd(mixed, GRID_EPS)):
                 best, best_viol = linalg.from_lower(mixed), viol
                 if viol <= v_target + 0.1 * abs(v_target):
                     return best
@@ -552,6 +564,24 @@ def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate([inf_pts, finite[::stride]])
 
 
+def _gain_unreachable(viol: float, floor: float) -> bool:
+    """True when no W pairing at or above ``floor`` beats ``viol`` by the
+    factor POLISH_GAIN; the slack GRID_EPS |floor| absorbs the rounding in
+    the floor.  Never true for viol >= 0 when floor <= viol, as weak
+    duality gives for a feasible W."""
+    return POLISH_GAIN * viol < floor - GRID_EPS * abs(floor)
+
+
+def _trace_normalized_psd(w, n: int):
+    """W made exactly PSD by projection and scaled to trace n, or None when
+    the projection's trace is below 1e-9 n."""
+    w = linalg.psd_project(w)
+    tr = float(np.real(np.trace(w)))
+    if tr < 1e-9 * n:
+        return None
+    return w * (n / tr)
+
+
 def _admm_min_violation(sigma_hat, conj_coefs, n):
     """Approximately minimize trace(W K) over the dual cone by ADMM.
 
@@ -571,9 +601,25 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     = <W, K - sum_g A_g o Z_g> >= n lambda_min(K - sum_g A_g o Z_g) = L.
     L is exact up to the eigensolver's rounding of Z_g and of lambda_min,
     whatever the ADMM iterate has converged to.
+
+    Stop rules, tested every ADMM_CHECK iterations, first to fire wins:
+    (1) the duality gap: the iterate is made feasible as ``dual_search``
+    does it (``_trace_normalized_psd``, then ``_mixed_with_identity`` until
+    every working-set margin is >= 0), which puts its violation v in the
+    working-set dual cone, so L <= v; when ``_gain_unreachable(v, L)``, no
+    W there beats v by POLISH_GAIN, so further iterations could buy at most
+    that gap, the same gap ``dual_search``'s polish gate gives up;
+    (2) the stall rule, a relative change of the violation below
+    ADMM_STALL between checks; (3) the cap ADMM_ITERS.
     """
     beta = ADMM_BETA
     denom_s = 1.0 + np.sum(np.abs(conj_coefs) ** 2, axis=0)
+    audit = _stack_audit(np.conj(conj_coefs))
+
+    def floor():
+        slack = np.einsum("gij,gij->ij", np.conj(conj_coefs), u[1:])
+        return n * linalg.min_eig(sigma_hat + beta * slack)
+
     w = np.eye(n, dtype=complex)
     s = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)
     u = np.zeros_like(s)
@@ -588,6 +634,12 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
         s = linalg.psd_project_batch(ax_r + u)
         u = u + ax_r - s
         if it % ADMM_CHECK == 0:
+            feasible = _trace_normalized_psd(w, n)
+            if feasible is not None:
+                lower = floor()
+                if _gain_unreachable(_mixed_with_identity(
+                        feasible, sigma_hat, audit, 0.0)[2], lower):
+                    return w, lower
             viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
             if abs(viol - last_viol) < ADMM_STALL * max(1.0, abs(viol)):
                 break
@@ -600,8 +652,7 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
             elif dual_res > 10.0 * primal_res:
                 beta /= 2.0
                 u *= 2.0
-    slack = np.einsum("gij,gij->ij", np.conj(conj_coefs), u[1:])
-    return w, n * linalg.min_eig(sigma_hat + beta * slack)
+    return w, floor()
 
 
 def _mixed_with_identity(w, sigma_hat, audit, floor: float):
@@ -632,10 +683,13 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     """Look for a separating functional for the target.
 
     Stages: (1) ADMM approximately minimizes trace(W K) over the dual cone
-    on a thinned working constraint set; (2) the iterate is made exactly
-    PSD, renormalized, and mixed slightly toward the identity, whose margin
-    is uniformly large, which converts approximate feasibility into a
-    strict uniform margin over ``problem.audit_grid``; (3) one anytime
+    on a thinned working constraint set, and stops once its floor L shows
+    that the polish gate below would skip the polish for its own feasible
+    iterate, or else at its stall rule (see ``_admm_min_violation``);
+    (2) the iterate is made exactly PSD, renormalized, and mixed slightly
+    toward the identity, whose margin is uniformly large, which converts
+    approximate feasibility into a strict uniform margin over
+    ``problem.audit_grid``; (3) one anytime
     Dykstra polish (see ``_dual_polish``), aimed at max(2 v0, L) for the
     mixed violation v0 and the ADMM floor L below, re-tightens the
     violation; (4) the polished W is re-audited and re-mixed.  Each of the
@@ -646,10 +700,12 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     Polish gate: ADMM also returns a floor L with trace(W K) >= L for every
     W in the working-set dual cone, which contains every W a polish can
-    return.  When even 1.05 v0 lies below L, with the slack
-    GRID_EPS |L| for the rounding in L, no W in the working-set dual cone
-    improves on v0 by 5%, so the polish is skipped.  The skip gives up at
-    most the gap between v0 and L.
+    return, and every candidate here.  When even POLISH_GAIN v0 lies below
+    L, with the slack GRID_EPS |L| for the rounding in L
+    (``_gain_unreachable``), no W in the working-set dual cone improves on
+    v0 by 5%, so the polish is skipped.  The skip gives up at most the gap
+    between v0 and L; ADMM's own stop on the same test gives up at most the
+    gap between L and its working-set violation.
     """
     samples = problem.sample_set
     d = problem.block_dim
@@ -662,11 +718,9 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
 
     w, floor = _admm_min_violation(sigma_hat, conj_coefs, n)
-    w = linalg.psd_project(w)
-    tr = float(np.real(np.trace(w)))
-    if tr < 1e-9 * n:
+    w = _trace_normalized_psd(w, n)
+    if w is None:
         return None
-    w *= n / tr
 
     audit = functools.partial(_audit_margins, problem=problem)
     w, audit_vals, viol = _mixed_with_identity(w, sigma_hat, audit,
@@ -676,8 +730,8 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     candidates = [(w, audit_vals, viol)]
 
     # One anytime polish, aimed at twice the mixed violation but never
-    # below the floor; it runs only if a 5% gain is reachable at all.
-    if 1.05 * viol >= floor - GRID_EPS * abs(floor):
+    # below the floor; it runs only if a POLISH_GAIN gain is reachable.
+    if not _gain_unreachable(viol, floor):
         polished = _dual_polish(w, sigma_hat, conj_coefs, n,
                                 max(2.0 * viol, floor), POLISH_MARGIN)
         if polished is not None:

@@ -7,6 +7,8 @@ import pytest
 
 from neilcone import cone, gns, kernels, linalg
 from neilcone.cone import (
+    GRID_EPS,
+    POLISH_GAIN,
     POLISH_MARGIN,
     PRIMAL_TOL,
     STALL_WINDOW,
@@ -24,6 +26,7 @@ from neilcone.cone import (
     recover_structure,
     validate_certificate,
     validation_grid,
+    _admm_min_violation,
     _dual_polish,
     _generator_data,
 )
@@ -438,6 +441,60 @@ def test_unreachable_polish_is_skipped(monkeypatch):
     report = validate_certificate(cert, problem)
     assert report.worst_margin >= -cert.eps
     assert cert.violation <= -cert.delta
+
+
+def recording_gain_gate(monkeypatch):
+    """Wrap the gain gate so a test can read each (v, L, skip) it decided."""
+    calls = []
+    gate = cone._gain_unreachable
+
+    def recording(viol, floor):
+        calls.append((viol, floor, gate(viol, floor)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cone, "_gain_unreachable", recording)
+    return calls
+
+
+@pytest.mark.parametrize("make_problem", [
+    restricted_infeasible_problem,
+    lambda: perturbed_problem(11, 2)[0],
+], ids=["restricted", "perturbed-11-2"])
+def test_admm_stops_once_no_gain_is_left(monkeypatch, make_problem):
+    problem = make_problem()
+    n = problem.dim
+    sigma = problem.target.flat
+    work = cone._coarse_seed(problem.effective_grid, cone.WORKING_LIMIT)
+    conj_coefs = np.conj(_generator_data(work, problem.sample_set,
+                                         problem.block_dim)[1])
+    # The same ADMM with the gap test switched off ends at its stall rule.
+    stall_checks = []
+
+    def never(viol, floor):
+        stall_checks.append(viol)
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_gain_unreachable", never)
+        _admm_min_violation(sigma, conj_coefs, n)
+
+    calls = recording_gain_gate(monkeypatch)
+    floors = recording_admm_floor(monkeypatch)
+    cert = dual_search(problem)
+    assert cert is not None
+    # ADMM asks the gate once per check and returns at the first skip; then
+    # dual_search asks it once more, for the polish.
+    skips = [skip for _, _, skip in calls]
+    stop = skips.index(True)
+    assert len(calls) == stop + 2
+    assert stop + 1 < len(stall_checks)
+    viol, floor, _ = calls[stop]
+    assert floor == floors[0]
+    assert POLISH_GAIN * viol < floor - GRID_EPS * abs(floor)
+    # Weak duality: the feasible iterate and the certificate both lie in
+    # the working-set dual cone, so both pair at or above L.
+    assert floor <= viol + 1e-9 * abs(viol)
+    assert floor <= cert.violation + 1e-9 * abs(cert.violation)
 
 
 def test_dual_zero_target_yields_none():
