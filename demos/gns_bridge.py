@@ -27,7 +27,7 @@ print("W = identity:")
 for lam in (np.inf, 0.3, -0.5j):
     psi = kernels.test_fn(lam, x)
     d = np.diag(psi)
-    margin = linalg.min_eig(w - d.conj().T @ w @ d)
+    margin = linalg.herm_eigvals_batch((w - d.conj().T @ w @ d)[None])[0, 0]
     norm = gns.rep_norm(space, gns.mult_operator(space, psi))
     print("  %-12s margin %+.4f   multiplier norm %.6f" % (tag(lam), margin, norm))
 print()
@@ -42,7 +42,7 @@ print("W = rank-2 + ridge (nearly degenerate):")
 for lam in (np.inf, 0.3, -0.5j):
     psi = kernels.test_fn(lam, x)
     d = np.diag(psi)
-    margin = linalg.min_eig(w - d.conj().T @ w @ d)
+    margin = linalg.herm_eigvals_batch((w - d.conj().T @ w @ d)[None])[0, 0]
     norm = gns.rep_norm(space, gns.mult_operator(space, psi))
     print("  %-12s margin %+.4f   multiplier norm %.6f" % (tag(lam), margin, norm))
 print("  (the near-degenerate Gram inflates violating norms; the margin's")

@@ -153,7 +153,7 @@ class ConeProblem:
 
 def _blocks_psd(blocks) -> bool:
     """The PSD rule of measure blocks, which NaN fails."""
-    floor = float(np.min(linalg.min_eig_batch(blocks)))
+    floor = float(np.min(linalg.herm_eigvals_batch(blocks)[:, 0]))
     scale = 1.0 + float(np.max(np.abs(blocks), initial=0.0))
     return floor >= -BLOCK_PSD_TOL * scale
 
@@ -161,7 +161,8 @@ def _blocks_psd(blocks) -> bool:
 def _functional_psd(w, eps: float) -> bool:
     """The PSD rule of a functional W, which NaN fails:
     min_eig(W) >= -eps max(1, max|W|)."""
-    return linalg.min_eig(w) >= -eps * max(1.0, float(np.abs(w).max()))
+    floor = float(linalg.herm_eigvals_batch(w[None])[0, 0])
+    return floor >= -eps * max(1.0, float(np.abs(w).max()))
 
 
 @dataclass
@@ -360,7 +361,7 @@ def primal_feasibility(problem: ConeProblem,
     # One-atom step.  No entry of A_g vanishes, since every generator value
     # has modulus below 1, so K / A_g is always defined.
     single = linalg.from_lower(k_hat / coefs)
-    floors = linalg.min_eig_batch(single)
+    floors = linalg.herm_eigvals_batch(single)[:, 0]
     scale = 1.0 + np.max(np.abs(single), axis=(1, 2))
     hits = np.flatnonzero(floors >= -BLOCK_PSD_TOL * scale)
     if hits.size:
@@ -379,13 +380,14 @@ def primal_feasibility(problem: ConeProblem,
 def _separating(theta, k_hat, coefs, tol):
     """The affine step's multiplier as a separating functional, or None.
 
-    W = -herm(theta), normalized to trace n and mixed toward I until its
-    margins over ``coefs`` clear MARGIN_FLOOR (see ``_mixed_with_identity``).
+    W = -from_lower(theta), which reads only theta's lower triangle,
+    normalized to trace n and mixed toward I until its margins over
+    ``coefs`` clear MARGIN_FLOOR (see ``_mixed_with_identity``).
     Returned only when every margin is >= 0 and
     trace(W K) < -tol ||W||_F - MIN_VIOLATION; ``_dr_run`` states what that
     proves.
     """
-    w = -linalg.hermitian_part(theta)
+    w = -linalg.from_lower(theta)
     tr = float(np.real(np.trace(w)))
     if not tr > 0.0:
         return None
@@ -404,6 +406,8 @@ def _dr_run(coefs, k_hat, tol):
     The PSD-side iterate is always an honest measure candidate whose only
     defect is the affine residual, which the splitting drives to the
     distance between the sets (zero exactly when a measure exists).
+    The PSD step projects each block of 2x - z as ``psd_project_batch``
+    does, reading only its lower triangle.
     Stops at the first iterate whose residual is within ``tol`` and whose
     blocks pass the PSD check, at the stall rule (checked from iteration
     2 * STALL_WINDOW on), after PRIMAL_MAX_ITER iterations, or on a
@@ -431,7 +435,7 @@ def _dr_run(coefs, k_hat, tol):
         # exact, computed independently at every matrix entry.
         theta = (k_hat - np.einsum("gij,gij->ij", coefs, z)) / denom
         x = z + conj_coefs * theta[None, :, :]
-        y = linalg.psd_project_batch(linalg.hermitian_part(2.0 * x - z))
+        y = linalg.psd_project_batch(2.0 * x - z)
         z = z + y - x
         residual = float(
             np.linalg.norm(np.einsum("gij,gij->ij", coefs, y) - k_hat)
@@ -575,7 +579,7 @@ def _gain_unreachable(viol: float, floor: float) -> bool:
 def _trace_normalized_psd(w, n: int):
     """W made exactly PSD by projection and scaled to trace n, or None when
     the projection's trace is below 1e-9 n."""
-    w = linalg.psd_project(w)
+    w = linalg.psd_project_batch(w[None])[0]
     tr = float(np.real(np.trace(w)))
     if tr < 1e-9 * n:
         return None
@@ -618,7 +622,8 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
 
     def floor():
         slack = np.einsum("gij,gij->ij", np.conj(conj_coefs), u[1:])
-        return n * linalg.min_eig(sigma_hat + beta * slack)
+        return n * float(linalg.herm_eigvals_batch(
+            (sigma_hat + beta * slack)[None])[0, 0])
 
     w = np.eye(n, dtype=complex)
     s = np.concatenate([w[None], w[None, :, :] * conj_coefs], axis=0)

@@ -77,7 +77,7 @@ class NaimarkInput:
 
 def _rank_one_vector(a: np.ndarray) -> np.ndarray:
     """Vector v with a = v v*, phase-fixed; the zero matrix gives the zero vector."""
-    evals, vecs = linalg.herm_eig(a)
+    (evals,), (vecs,) = linalg.herm_eig_batch(a[None])
     top = float(evals[-1])
     scale = max(top, float(np.abs(a).max()), 1.0)
     if float(evals[0]) < -RANK_ONE_TOL * scale:

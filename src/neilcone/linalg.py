@@ -1,12 +1,15 @@
 """Dense complex linear algebra on small, batched Hermitian matrices.
 
-Each operation has one implementation: eigenvalues alone (floors, margins,
-norms) come from LAPACK's ``eigvalsh`` in ``herm_eigvals_batch``, and
+Each operation has one entry point, and it takes a stack (a stack of one
+matrix where a caller has one matrix): eigenvalues alone (floors, margins,
+norms) come from LAPACK's ``eigvalsh`` in ``herm_eigvals_batch``,
 eigenvectors from a cyclic Jacobi solver with a fixed pivot order in
-``herm_eig_batch``.  A matrix gets the same bits alone as inside a stack,
-and an input the same bits on one machine and numpy build.
+``herm_eig_batch``, PSD projections from ``psd_project_batch`` and largest
+singular values from ``op_norm_batch`` (``op_norm`` adds the choice of the
+smaller Gram side for one matrix).  A matrix gets the same bits alone as
+inside a stack, and an input the same bits on one machine and numpy build.
 
-Only the lower triangle of a Hermitian argument is trusted: LAPACK reads
+Only the lower triangle of a Hermitian argument is read: LAPACK reads
 nothing else, and ``from_lower`` rebuilds the full matrix for Jacobi.
 """
 
@@ -47,12 +50,6 @@ def from_lower(h: np.ndarray) -> np.ndarray:
     idx = np.arange(h.shape[-1])
     out[..., idx, idx] = diag
     return out
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Average a matrix (or stack) with its conjugate transpose."""
-    a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def _tournament_rounds(n: int):
@@ -204,25 +201,6 @@ def herm_eigvals_batch(h) -> np.ndarray:
     return np.linalg.eigvalsh(h, UPLO="L")
 
 
-def herm_eig(h):
-    """Eigenvalues (ascending) and eigenvector matrix of one Hermitian matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix, got %r" % (h.shape,))
-    w, v = herm_eig_batch(h[None])
-    return w[0], v[0]
-
-
-def min_eig(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(herm_eigvals_batch(np.asarray(h, dtype=complex)[None])[0, 0])
-
-
-def min_eig_batch(h) -> np.ndarray:
-    """Smallest eigenvalue of every matrix in a Hermitian stack."""
-    return herm_eigvals_batch(h)[:, 0]
-
-
 def op_norm(a) -> float:
     """Largest singular value, via the Gram matrix on the smaller side."""
     a = np.asarray(a, dtype=complex)
@@ -252,11 +230,6 @@ def op_norm_batch(a) -> np.ndarray:
     return np.sqrt(np.maximum(w, 0.0)) / factor[:, 0, 0]
 
 
-def psd_project(h) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix."""
-    return psd_project_batch(np.asarray(h, dtype=complex)[None])[0]
-
-
 def psd_project_batch(h) -> np.ndarray:
     """Frobenius-nearest PSD matrix for every matrix in a Hermitian stack."""
     w, v = herm_eig_batch(h)
@@ -271,7 +244,7 @@ def rank_factor(h) -> np.ndarray:
 
     A matrix that is indefinite beyond the same threshold is rejected.
     """
-    w, v = herm_eig(h)
+    (w,), (v,) = herm_eig_batch(np.asarray(h, dtype=complex)[None])
     lam_max = max(float(w[-1]), 0.0)
     thresh = RANK_TOL * lam_max if lam_max > 0.0 else RANK_TOL
     if float(w[0]) < -thresh:
@@ -288,8 +261,8 @@ def align_isometries(v, w) -> np.ndarray:
 
     Both arguments must satisfy A* A = I within ISOMETRY_TOL.  U acts as
     w v* on the range of v and maps the orthogonal complement of v's range
-    onto that of w's, each taken from one eigendecomposition as the
-    eigenvectors of I - A A* for eigenvalue 1.
+    onto that of w's, both taken from one batched eigendecomposition as
+    the eigenvectors of I - A A* for eigenvalue 1.
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -305,8 +278,8 @@ def align_isometries(v, w) -> np.ndarray:
             raise ValueError(
                 "%s argument is not an isometry: ||A*A - I|| = %.3e" % (name, defect)
             )
-    v_perp = herm_eig(np.eye(m) - v @ v.conj().T)[1][:, n:]
-    w_perp = herm_eig(np.eye(m) - w @ w.conj().T)[1][:, n:]
+    gram = np.stack([v @ v.conj().T, w @ w.conj().T])
+    v_perp, w_perp = herm_eig_batch(np.eye(m) - gram)[1][:, :, n:]
     return np.column_stack([w, w_perp]) @ np.column_stack([v, v_perp]).conj().T
 
 

@@ -246,7 +246,7 @@ def test_primal_recovers_diagonal_target(diagonal, diagonal_primal):
     assert got.residual <= 1e-7
     again = apply_generators(got.measure, problem)
     assert float(np.linalg.norm(again.flat - problem.target.flat)) <= 1e-7
-    assert np.min(linalg.min_eig_batch(got.measure.blocks)) >= -1e-8
+    assert np.min(linalg.herm_eigvals_batch(got.measure.blocks)) >= -1e-8
 
 
 def test_primal_single_point_scalar_always_feasible():
@@ -510,7 +510,8 @@ def test_dual_certificate_on_perturbed_target(perturbed_cert):
     assert cert.grid_margin >= -1e-8
     n = problem.dim
     assert float(np.real(np.trace(cert.w))) == pytest.approx(n, rel=1e-6)
-    assert linalg.min_eig(cert.w) >= -1e-8 * max(1.0, float(np.abs(cert.w).max()))
+    floor = linalg.herm_eigvals_batch(cert.w[None])[0, 0]
+    assert floor >= -1e-8 * max(1.0, float(np.abs(cert.w).max()))
 
 
 def test_dual_certificate_margins_cover_problem_grid(perturbed_cert):

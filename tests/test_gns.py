@@ -182,7 +182,7 @@ def test_certificate_norm_bridge():
     for trial in range(12):
         rank = None if trial % 2 == 0 else 2
         w = random_psd(rng, N, rank=rank) + 1e-6 * np.eye(N)
-        margin = linalg.min_eig(w - d_mat.conj().T @ w @ d_mat)
+        margin = linalg.herm_eigvals_batch((w - d_mat.conj().T @ w @ d_mat)[None])[0, 0]
         space = build_gns(w, SAMPLES)
         norm = rep_norm(space, mult_operator(space, psi))
         if margin >= 1e-7:

@@ -8,21 +8,21 @@ from conftest import random_hermitian, random_psd, random_unitary
 
 
 def test_herm_eig_hand_checked_2x2():
-    w, v = linalg.herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-    assert linalg.op_norm(v.conj().T @ v - np.eye(2)) < 1e-12
+    w, v = linalg.herm_eig_batch(np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex))
+    assert np.allclose(w[0], [-1.0, 1.0], atol=1e-12)
+    assert linalg.op_norm(v[0].conj().T @ v[0] - np.eye(2)) < 1e-12
 
 
 def test_min_eig_hand_checked_2x2():
     h = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    assert abs(linalg.min_eig(h) - 1.0) < 1e-12
+    assert abs(linalg.herm_eigvals_batch(h[None])[0, 0] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
 def test_herm_eig_residual_and_orthonormality(n):
     rng = np.random.default_rng(17 + n)
     h = random_hermitian(rng, n, scale=3.0)
-    w, v = linalg.herm_eig(h)
+    (w,), (v,) = linalg.herm_eig_batch(h[None])
     fro = np.linalg.norm(h)
     assert np.linalg.norm(h @ v - v * w[None, :]) <= 1e-11 * (1.0 + fro)
     assert linalg.op_norm(v.conj().T @ v - np.eye(n)) <= 1e-11
@@ -33,7 +33,7 @@ def test_herm_eig_matches_independent_solver():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 6, 7, 12, 15):
         h = random_hermitian(rng, n)
-        w, _ = linalg.herm_eig(h)
+        w = linalg.herm_eig_batch(h[None])[0][0]
         ref = np.linalg.eigvalsh(h)
         assert np.allclose(w, ref, atol=1e-11 * (1 + np.linalg.norm(h)))
         # The LAPACK eigenvalue path agrees with the Jacobi one.
@@ -50,7 +50,7 @@ def test_herm_eig_tiny_and_huge_entries_match_independent_solver(scale):
     got = linalg.herm_eigvals_batch(h[None])[0]
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
     h3 = scale * np.array([[2.0, 1.0j, 0.0], [-1.0j, 2.0, 1.0], [0.0, 1.0, 2.0]])
-    w, v = linalg.herm_eig(h3)
+    (w,), (v,) = linalg.herm_eig_batch(h3[None])
     assert np.allclose(w, np.linalg.eigvalsh(h3), rtol=1e-12, atol=0.0)
     assert linalg.op_norm(v.conj().T @ v - np.eye(3)) <= 1e-12
 
@@ -66,33 +66,32 @@ def test_herm_eig_batch_matches_single():
     wb, vb = linalg.herm_eig_batch(hs)
     vals = linalg.herm_eigvals_batch(hs)
     for k in range(5):
-        w, v = linalg.herm_eig(hs[k])
+        (w,), (v,) = linalg.herm_eig_batch(hs[k][None])  # the matrix alone
         assert np.allclose(wb[k], w, atol=0.0)  # identical sweep order, identical bits
         assert np.array_equal(vb[k], v)
         assert np.array_equal(vals[k], linalg.herm_eigvals_batch(hs[k][None])[0])
-        assert linalg.min_eig(hs[k]) == vals[k, 0]
     assert linalg.herm_eigvals_batch(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
 def test_herm_eig_deterministic():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 9)
-    w1, v1 = linalg.herm_eig(h)
-    w2, v2 = linalg.herm_eig(h)
+    w1, v1 = linalg.herm_eig_batch(h[None])
+    w2, v2 = linalg.herm_eig_batch(h[None])
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
 def test_herm_eig_uses_lower_triangle_only():
     h = np.array([[1.0, 99.0], [2.0 - 1.0j, -1.0]], dtype=complex)
-    w, _ = linalg.herm_eig(h)
+    w, v = linalg.herm_eig_batch(h[None])
     ref = np.linalg.eigvalsh(np.array([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, -1.0]]))
-    assert np.allclose(w, ref, atol=1e-12)
+    assert np.allclose(w[0], ref, atol=1e-12)
     clean = linalg.herm_eigvals_batch(linalg.from_lower(h)[None])[0]
     for upper in (99.0, np.nan, np.inf):
         h[0, 1] = upper
         assert np.array_equal(linalg.herm_eigvals_batch(h[None])[0], clean)
-        assert linalg.min_eig(h) == clean[0]
-        assert np.array_equal(linalg.min_eig_batch(h[None]), clean[:1])
+        got_w, got_v = linalg.herm_eig_batch(h[None])
+        assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
 
 
 def test_op_norm_hand_checked():
@@ -133,22 +132,39 @@ def test_op_norm_huge_and_tiny_entries(scale):
 
 def test_psd_project_hand_checked():
     h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(linalg.psd_project(h), 0.5 * np.ones((2, 2)), atol=1e-12)
-    assert np.allclose(linalg.psd_project(np.zeros((3, 3))), 0.0, atol=0.0)
+    assert np.allclose(linalg.psd_project_batch(h[None])[0], 0.5 * np.ones((2, 2)),
+                       atol=1e-12)
+    assert np.allclose(linalg.psd_project_batch(np.zeros((1, 3, 3))), 0.0, atol=0.0)
 
 
 def test_psd_project_fixes_psd_input_and_is_nearest():
     rng = np.random.default_rng(11)
     p = random_psd(rng, 5)
-    assert np.linalg.norm(linalg.psd_project(p) - p) < 1e-10 * (1 + np.linalg.norm(p))
+    fixed = linalg.psd_project_batch(p[None])[0]
+    assert np.linalg.norm(fixed - p) < 1e-10 * (1 + np.linalg.norm(p))
     h = random_hermitian(rng, 5)
-    proj = linalg.psd_project(h)
-    assert linalg.min_eig(proj) >= -1e-12
+    proj = linalg.psd_project_batch(h[None])[0]
+    assert linalg.herm_eigvals_batch(proj[None])[0, 0] >= -1e-12
     d0 = np.linalg.norm(proj - h)
     for _ in range(40):
         cand = random_psd(rng, 5)
         cand *= np.trace(h).real / max(np.trace(cand).real, 1e-9)
         assert np.linalg.norm(cand - h) >= d0 - 1e-9
+
+
+def test_psd_project_batch_matches_single_and_uses_lower_triangle_only():
+    # The Douglas-Rachford step projects 2x - z as it stands: a matrix must
+    # get the same bits alone as inside a stack, whatever its upper triangle.
+    rng = np.random.default_rng(41)
+    hs = np.stack([random_hermitian(rng, 5) for _ in range(4)])
+    proj = linalg.psd_project_batch(hs)
+    for k in range(4):
+        assert np.array_equal(linalg.psd_project_batch(hs[k][None])[0], proj[k])
+    rows, cols = np.triu_indices(5, 1)
+    for upper in (99.0, np.nan, np.inf):
+        h = hs.copy()
+        h[:, rows, cols] = upper
+        assert np.array_equal(linalg.psd_project_batch(h), proj)
 
 
 def test_rank_factor_hand_checked():
@@ -206,8 +222,8 @@ def test_herm_eig_rejects_non_finite_stack():
         h = np.eye(3, dtype=complex)[None].repeat(2, axis=0)
         h[1, 2, 0] = bad
         for fn in (linalg.herm_eig_batch, linalg.psd_project_batch,
-                   linalg.herm_eigvals_batch, linalg.min_eig_batch,
-                   linalg.op_norm_batch, linalg.min_eig, linalg.op_norm):
+                   linalg.herm_eigvals_batch, linalg.op_norm_batch,
+                   linalg.op_norm):
             with pytest.raises(ValueError, match="non-finite"):
                 fn(h if fn.__name__.endswith("batch") else h[1])
 
