@@ -22,6 +22,10 @@ Membership is decided from both sides:
   W - D_g* W D_g >= 0 across the grid but trace(W K) < 0.  Such a W is a
   checkable certificate of non-membership: squares make any cone element
   pair nonnegatively with W, so nothing in the cone can reach the target.
+  An unrestricted problem makes one interior-point solve (``_sdp``) of a
+  level-1 sum-of-squares program that keeps W's margins nonnegative on
+  the whole closed disk; ADMM and a Dykstra polish serve restricted
+  problems only.
 
 Both can come back empty-handed; ``Undecided``/``None`` is the honest third
 outcome and the two positive outcomes exclude each other.
@@ -51,7 +55,8 @@ PRIMAL_MAX_ITER = 20000  # iteration cap of the one splitting run
 STALL_WINDOW = 250       # stall rule window (see ``_dr_run``)
 STALL_RATIO = 0.98       # stall rule: less than 2% gain per window
 
-# Dual search (ADMM, Dykstra polish, identity mixing) settings.
+# Dual search settings: ADMM and the Dykstra polish (restricted problems),
+# the interior-point cap (unrestricted problems) and identity mixing.
 ADMM_ITERS = 3000
 ADMM_BETA = 0.3          # initial penalty, rebalanced every ADMM_CHECK
 ADMM_RELAX = 1.6         # over-relaxation
@@ -59,13 +64,13 @@ ADMM_CHECK = 50          # iterations between the stop tests below
 ADMM_STALL = 1e-5        # relative violation change that ends ADMM
 # The gain a polish must be able to make (see ``_gain_unreachable``).  ADMM
 # also ends at the first check where its weak-duality floor L shows that no
-# W in the working-set dual cone beats the violation of its feasible
+# W in the restriction's dual cone beats the violation of its feasible
 # iterate by this factor: later iterations could then buy at most that gap.
 POLISH_GAIN = 1.05
 POLISH_MARGIN = 1e-5     # margin floor the polish enforces on the work grid
 POLISH_ITERS = 2500
 MARGIN_FLOOR = 1e-5      # audit margin that identity mixing restores
-WORKING_LIMIT = 48       # generators in the thinned working set
+SDP_ITERS = 100          # iteration cap of the interior-point solver
 
 
 def _polar_grid(radii: np.ndarray, angles: int) -> np.ndarray:
@@ -302,7 +307,7 @@ def _identity_margin(coefs: np.ndarray) -> float:
 
 def _stack_audit(coefs: np.ndarray):
     """The ``audit`` of ``_mixed_with_identity`` over coefficients already
-    in memory (a working set or the effective grid)."""
+    in memory (a restriction's generators)."""
     identity = _identity_margin(coefs)
     return lambda w: (margins(w, coefs), identity)
 
@@ -553,21 +558,6 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin):
     return best
 
 
-def _coarse_seed(grid: np.ndarray, limit: int) -> np.ndarray:
-    """Thin a generator grid to at most ``limit`` points, keeping infinity.
-
-    The working constraint set stays small because margins vary smoothly in
-    the parameter; feasibility over the full family is restored afterwards
-    by mixing with the identity and re-audited on the audit grid.
-    """
-    at_inf = np.isinf(grid)
-    inf_pts = grid[at_inf][:1]
-    finite = grid[~at_inf]
-    room = max(limit - len(inf_pts), 1)
-    stride = max(1, -(-len(finite) // room))
-    return np.concatenate([inf_pts, finite[::stride]])
-
-
 def _gain_unreachable(viol: float, floor: float) -> bool:
     """True when no W pairing at or above ``floor`` beats ``viol`` by the
     factor POLISH_GAIN; the slack GRID_EPS |floor| absorbs the rounding in
@@ -599,8 +589,8 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
 
     Returns (W, L).  L is a weak-duality floor from the slack multipliers
     Z_g = -beta u_g, which are PSD by construction (each u_g is a point
-    minus its PSD projection).  For every W in the working-set dual cone
-    (W PSD with trace n, every W o conj(A_g) PSD):
+    minus its PSD projection).  For every W in the dual cone over these
+    generators (W PSD with trace n, every W o conj(A_g) PSD):
     trace(W K) >= trace(W K) - sum_g <Z_g, W o conj(A_g)>
     = <W, K - sum_g A_g o Z_g> >= n lambda_min(K - sum_g A_g o Z_g) = L.
     L is exact up to the eigensolver's rounding of Z_g and of lambda_min,
@@ -609,8 +599,8 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
     Stop rules, tested every ADMM_CHECK iterations, first to fire wins:
     (1) the duality gap: the iterate is made feasible as ``dual_search``
     does it (``_trace_normalized_psd``, then ``_mixed_with_identity`` until
-    every working-set margin is >= 0), which puts its violation v in the
-    working-set dual cone, so L <= v; when ``_gain_unreachable(v, L)``, no
+    every margin over these generators is >= 0), which puts its violation v
+    in that dual cone, so L <= v; when ``_gain_unreachable(v, L)``, no
     W there beats v by POLISH_GAIN, so further iterations could buy at most
     that gap, the same gap ``dual_search``'s polish gate gives up;
     (2) the stall rule, a relative change of the violation below
@@ -684,33 +674,229 @@ def _mixed_with_identity(w, sigma_hat, audit, floor: float):
     return mixed, vals, viol
 
 
+def _sdp(costs, rows, b):
+    """Minimize sum_k Re tr(C_k X_k) over Hermitian PSD blocks X_k subject
+    to equality rows, by a primal-dual interior-point method.
+
+    ``costs`` holds one Hermitian C_k per block.  ``rows[k]`` holds block
+    k's part of the rows as sparse (row, column, value) triples, the column
+    indexing X_k's entries in row-major order: row i asks that
+    Re sum value X_k.flat[column], summed over i's triples in every block,
+    equal b_i.  Row i acts on Hermitian blocks as Re tr(A_ik X_k) with A_ik
+    the Hermitian part of the matrix G_ik that holds each value at the
+    transposed position, and the dual slack is Z_k = C_k - sum_i y_i A_ik.
+
+    From X_k = Z_k = I and y = 0, each iteration takes the HKM direction:
+    dZ = R_d - A^T dy and dX = herm(target - X dZ Z^-1), with dy from the
+    Schur complement M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^-1), which is
+    gathered from entries of X_k and Z_k^-1 pair by pair of triples.
+    Mehrotra's predictor aims at target -X; with sigma = (mu_aff / mu)^3 the
+    corrector aims at sigma mu Z^-1 - X - herm(dX_aff dZ_aff Z^-1).  Each
+    side steps 0.95 of the way to its PSD boundary, capped at a full step.
+
+    Stops "converged" when the relative gap sum tr(X Z) / (1 + |pobj| +
+    |dobj|) and both relative infeasibilities are below 1e-8, "cholesky"
+    when a Cholesky factorization fails (of the Schur complement, or of an
+    iterate that rounding left on its boundary), or "cap" after SDP_ITERS
+    iterations.  Returns (X blocks, y, stop) at the last iterate.
+    """
+    m = len(b)
+    parts = []
+    for c, (i, col, val) in zip(costs, rows):
+        by_row = np.argsort(i, kind="stable")
+        i, col, val = i[by_row], col[by_row], val[by_row]
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        parts.append((i, *np.divmod(col, len(c)), val, starts))
+    width = max(len(c) for c in costs)
+
+    def herm(a):
+        return 0.5 * (a + a.conj().T)
+
+    def apply(xs):
+        return sum(np.bincount(i, np.real(v * x[r, c]), minlength=m)
+                   for (i, r, c, v, _), x in zip(parts, xs))
+
+    def adjoint(y):
+        out = []
+        for (i, r, c, v, _), cost in zip(parts, costs):
+            g = np.zeros(cost.shape, dtype=complex)
+            np.add.at(g, (c, r), y[i] * v)
+            out.append(herm(g))
+        return out
+
+    def schur(xs, zis):
+        # Pair (s, t) of a block's triples adds 1/4 Re of
+        # v_s v_t (X[r_s, c_t] Zi[r_t, c_s] + Zi[r_s, c_t] X[r_t, c_s])
+        # + v_s conj(v_t) (X[r_s, r_t] Zi[c_t, c_s] + Zi[r_s, r_t] X[c_t, c_s])
+        # to M at (row of s, row of t), gathered as many rows at a time as
+        # the largest block has rows.
+        big = np.zeros((m, m))
+        for (i, r, c, v, starts), x, zi in zip(parts, xs, zis):
+            ends = np.append(starts[1:], len(i))
+            for lo in range(0, len(starts), width):
+                first = starts[lo:lo + width]
+                s = slice(first[0], ends[lo + len(first) - 1])
+                rs, cs, vs = r[s, None], c[s, None], v[s, None]
+                q = np.real(vs * v * (x[rs, c] * zi[r, cs]
+                                      + zi[rs, c] * x[r, cs]))
+                q += np.real(vs * np.conj(v) * (x[rs, r] * zi[c, cs]
+                                                + zi[rs, r] * x[c, cs]))
+                q = np.add.reduceat(np.add.reduceat(q, first - first[0], 0),
+                                    starts, 1)
+                big[np.ix_(i[first], i[starts])] += 0.25 * q
+        return big
+
+    def step(ps, ds):
+        # 0.95 of the way to the boundary along d, at most a full step.
+        alpha = 1.0
+        for p, d in zip(ps, ds):
+            li = np.linalg.inv(np.linalg.cholesky(p))
+            low = linalg.herm_eigvals_batch((li @ d @ li.conj().T)[None])
+            low = float(low[0, 0])
+            if low < 0.0:
+                alpha = min(alpha, -0.95 / low)
+        return alpha
+
+    def inner(xs, zs):
+        return sum(float(np.real(np.sum(x * z.conj())))
+                   for x, z in zip(xs, zs))
+
+    xs = [np.eye(len(c), dtype=complex) for c in costs]
+    zs = [x.copy() for x in xs]
+    y = np.zeros(m)
+    total = sum(len(c) for c in costs)
+    scale_b = 1.0 + float(np.linalg.norm(b))
+    scale_c = 1.0 + math.sqrt(inner(costs, costs))
+    stop = "cap"
+    for _ in range(SDP_ITERS):
+        rp = b - apply(xs)
+        rd = [c - z - a for c, z, a in zip(costs, zs, adjoint(y))]
+        pobj, dobj, gap = inner(costs, xs), float(b @ y), inner(xs, zs)
+        if max(gap / (1.0 + abs(pobj) + abs(dobj)),
+               float(np.linalg.norm(rp)) / scale_b,
+               math.sqrt(inner(rd, rd)) / scale_c) < 1e-8:
+            stop = "converged"
+            break
+        try:
+            zis = [herm(np.linalg.inv(z)) for z in zs]
+            li = np.linalg.inv(np.linalg.cholesky(schur(xs, zis)))
+
+            def direction(targets):
+                rhs = rp - apply([herm(t - x @ d @ zi) for t, x, d, zi
+                                  in zip(targets, xs, rd, zis)])
+                dy = li.T @ (li @ rhs)
+                dz = [d - a for d, a in zip(rd, adjoint(dy))]
+                dx = [herm(t - x @ d @ zi)
+                      for t, x, d, zi in zip(targets, xs, dz, zis)]
+                return dx, dy, dz
+
+            dx, dy, dz = direction([-x for x in xs])
+            ap, ad = step(xs, dx), step(zs, dz)
+            mu = gap / total
+            mu_aff = inner([x + ap * d for x, d in zip(xs, dx)],
+                           [z + ad * d for z, d in zip(zs, dz)]) / total
+            sigma = (mu_aff / mu) ** 3
+            dx, dy, dz = direction([
+                sigma * mu * zi - x - herm(a @ d @ zi)
+                for zi, x, a, d in zip(zis, xs, dx, dz)])
+            ap, ad = step(xs, dx), step(zs, dz)
+        except np.linalg.LinAlgError:
+            stop = "cholesky"
+            break
+        xs = [x + ap * d for x, d in zip(xs, dx)]
+        zs = [z + ad * d for z, d in zip(zs, dz)]
+        y = y + ad * dy
+    return xs, y, stop
+
+
+def _sos_rows(x):
+    """The rows of the level-1 SOS program for certificates on samples x.
+
+    x is the diagonal of X: the sample points, each repeated block_dim
+    times; n = len(x).  With C_lam = I - conj(lam) X and D_lam the diagonal
+    of generator values,
+    P_W(lam) = C_lam* (W - D_lam* W D_lam) C_lam = sum lam^p conj(lam)^q P_pq
+    with P_00 = W - X*^3 W X^3, P_10 = -X* W + X*^3 W X^2, P_01 = P_10* and
+    P_11 = X* W X - X*^2 W X^2.  C_lam is invertible on the closed disk,
+    where |lam| = 1 gives z^2 up to phase, so W has no negative margin
+    anywhere on the disk or at infinity when P_W >= 0 there.  A certificate
+    of that is P_W(lam) = V* S V + (1 - |lam|^2) T with S, T PSD and
+    V = (I, lam I, conj(lam) I) (Scherer & Hol, 2006).
+
+    Blocks W (n), S (3n) and T (n).  Rows: trace W = n, then, coefficient
+    by coefficient, S_00 + T = P_00 and S_11 + S_22 - T = P_11 (Hermitian:
+    real parts on and below the diagonal, imaginary parts below),
+    S_01 + S_20 = P_10 and S_21 = 0 (real and imaginary part of every
+    entry); the lam-bar coefficients are their adjoints.
+    Returns (rows, b) in ``_sdp``'s form.
+    """
+    n = len(x)
+    cx, rx = np.conj(x)[:, None], x[None, :]
+    p00 = (1.0 - cx ** 3 * rx ** 3).ravel()
+    p10 = (-cx + cx ** 3 * rx ** 2).ravel()
+    p11 = (cx * rx - cx ** 2 * rx ** 2).ravel()
+    r, c = np.divmod(np.arange(n * n), n)
+    sizes = (n, 3 * n, n)
+    rows = [[(np.zeros(n, dtype=int), np.arange(n) * (n + 1),
+              np.ones(n, dtype=complex))], [], []]
+    count = 1
+
+    def equation(terms, hermitian):
+        # terms: (block, row offset, column offset, coefficient) each
+        nonlocal count
+        for keep, phase in (((r >= c) if hermitian else True, 1.0),
+                            ((r > c) if hermitian else True, -1j)):
+            idx = np.flatnonzero(np.broadcast_to(keep, r.shape))
+            ids = count + np.arange(len(idx))
+            for block, ro, co, coef in terms:
+                col = (ro + r[idx]) * sizes[block] + co + c[idx]
+                val = phase * np.broadcast_to(coef, r.shape)[idx]
+                rows[block].append((ids, col, val.astype(complex)))
+            count += len(idx)
+
+    equation([(1, 0, 0, 1.0), (2, 0, 0, 1.0), (0, 0, 0, -p00)], True)
+    equation([(1, n, n, 1.0), (1, 2 * n, 2 * n, 1.0), (2, 0, 0, -1.0),
+              (0, 0, 0, -p11)], True)
+    equation([(1, 0, n, 1.0), (1, 2 * n, 0, 1.0), (0, 0, 0, -p10)], False)
+    equation([(1, 2 * n, n, 1.0)], False)
+    b = np.zeros(count)
+    b[0] = n
+    return [tuple(map(np.concatenate, zip(*block))) for block in rows], b
+
+
 def dual_search(problem: ConeProblem) -> DualCertificate | None:
     """Look for a separating functional for the target.
 
-    Stages: (1) ADMM approximately minimizes trace(W K) over the dual cone
-    on a thinned working constraint set, and stops once its floor L shows
-    that the polish gate below would skip the polish for its own feasible
-    iterate, or else at its stall rule (see ``_admm_min_violation``);
-    (2) the iterate is made exactly PSD, renormalized, and mixed slightly
-    toward the identity, whose margin is uniformly large, which converts
-    approximate feasibility into a strict uniform margin over
-    ``problem.audit_grid``; (3) one anytime
-    Dykstra polish (see ``_dual_polish``), aimed at max(2 v0, L) for the
-    mixed violation v0 and the ADMM floor L below, re-tightens the
-    violation; (4) the polished W is re-audited and re-mixed.  Each of the
-    at most two candidates, from stages (2) and (4), is offered to
-    ``DualCertificate``, the one certificate gate, and the lower-violation
-    one it accepts is returned.  Returns None when it accepts neither; that
-    outcome never claims membership.
+    An unrestricted problem makes one interior-point solve (``_sdp``) of
+    the level-1 SOS program (``_sos_rows``): minimize Re trace(W K) over
+    PSD W of trace n with P_W(lam) = V* S V + (1 - |lam|^2) T for PSD S and
+    T, so that, up to the solve's accuracy, W has no negative margin on the
+    closed disk.  A restricted
+    problem runs ADMM over its whole restriction instead (see
+    ``_admm_min_violation``), which approximately minimizes trace(W K) over
+    the restriction's dual cone and stops once its floor L shows that the
+    polish gate below would skip the polish for its own feasible iterate,
+    or else at its stall rule.
+
+    Either minimizer is made exactly PSD, renormalized, and mixed slightly
+    toward the identity, whose margin is uniformly large, until every
+    margin over ``problem.audit_grid`` clears MARGIN_FLOOR.  On a
+    restricted problem one anytime Dykstra polish (see ``_dual_polish``),
+    aimed at max(2 v0, L) for the mixed violation v0 and the ADMM floor L,
+    then re-tightens the violation, and the polished W is re-audited and
+    re-mixed.  Each candidate is offered to ``DualCertificate``, the one
+    certificate gate, and the lower-violation one it accepts is returned.
+    Returns None when it accepts none; that outcome never claims
+    membership.
 
     Polish gate: ADMM also returns a floor L with trace(W K) >= L for every
-    W in the working-set dual cone, which contains every W a polish can
+    W in the restriction's dual cone, which contains every W a polish can
     return, and every candidate here.  When even POLISH_GAIN v0 lies below
     L, with the slack GRID_EPS |L| for the rounding in L
-    (``_gain_unreachable``), no W in the working-set dual cone improves on
-    v0 by 5%, so the polish is skipped.  The skip gives up at most the gap
-    between v0 and L; ADMM's own stop on the same test gives up at most the
-    gap between L and its working-set violation.
+    (``_gain_unreachable``), no W in that cone improves on v0 by 5%, so the
+    polish is skipped.  The skip gives up at most the gap between v0 and L;
+    ADMM's own stop on the same test gives up at most the gap between L and
+    its violation.
     """
     samples = problem.sample_set
     d = problem.block_dim
@@ -719,10 +905,14 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     if float(np.linalg.norm(sigma_hat)) < 1e-14:
         return None
 
-    work_grid = _coarse_seed(problem.effective_grid, WORKING_LIMIT)
-    conj_coefs = np.conj(_generator_data(work_grid, samples, d)[1])
-
-    w, floor = _admm_min_violation(sigma_hat, conj_coefs, n)
+    restriction = problem.generator_restriction
+    if restriction is None:
+        rows, b = _sos_rows(np.repeat(samples.array(), d))
+        costs = [sigma_hat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
+        w = _sdp(costs, rows, b)[0][0]
+    else:
+        conj_coefs = np.conj(_generator_data(restriction, samples, d)[1])
+        w, floor = _admm_min_violation(sigma_hat, conj_coefs, n)
     w = _trace_normalized_psd(w, n)
     if w is None:
         return None
@@ -736,14 +926,14 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     # One anytime polish, aimed at twice the mixed violation but never
     # below the floor; it runs only if a POLISH_GAIN gain is reachable.
-    if not _gain_unreachable(viol, floor):
+    if restriction is not None and not _gain_unreachable(viol, floor):
         polished = _dual_polish(w, sigma_hat, conj_coefs, n,
                                 max(2.0 * viol, floor), POLISH_MARGIN)
         if polished is not None:
             candidates.append(_mixed_with_identity(
                 polished, sigma_hat, audit, MARGIN_FLOOR))
 
-    # Lowest violation first; a stable sort keeps the stage (2) candidate
+    # Lowest violation first; a stable sort keeps the mixed minimizer
     # ahead on a tie.
     for w_c, vals, viol_c in sorted(candidates, key=lambda c: c[2]):
         try:

@@ -662,6 +662,23 @@ def test_counterexample_audits_the_emitted_certificate_once(tmp_path,
             == 2 * 8 + 4 * 8 + 1)
 
 
+def test_counterexample_does_not_depend_on_admm_beta(tmp_path, monkeypatch):
+    # The three-point flagship is unrestricted, so its search makes one SOS
+    # solve and no ADMM: the initial penalty 0.07, at which ADMM found no
+    # separating functional for it, moves no byte of the result.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": SMALL_COUNTEREXAMPLE["samples"]}))
+    texts = []
+    for beta in (cone.ADMM_BETA, 0.07):
+        monkeypatch.setattr(cone, "ADMM_BETA", beta)
+        out = tmp_path / ("out-%s.json" % beta)
+        assert cli.main(["counterexample", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert json.loads(texts[0])["status"] == "certified"
+    assert texts[0] == texts[1]
+
+
 def test_counterexample_gates_read_the_certificate(tmp_path, monkeypatch):
     # A re-audited margin of -5e-7 misses the certificate's eps (1e-8), and
     # a test norm of 1 + 5e-7 misses the pair slack gns.PAIR_TOL (1e-8);

@@ -69,8 +69,9 @@ def flat_identity(n: int, d: int) -> np.ndarray:
     return np.kron(np.ones((n, n)), np.eye(d))
 
 
-def perturbed_problem(seed: int, block_dim: int = 1):
-    """A target pushed out of the cone by subtracting a chunk of identity."""
+def perturbed_problem(seed: int, block_dim: int = 1, restricted=False):
+    """A target pushed out of the cone by subtracting a chunk of identity;
+    ``restricted`` poses it over its three generators alone."""
     rng = np.random.default_rng(seed)
     samples = SampleSet(tuple(random_disk_points(rng, 3, rmax=0.7,
                                                  min_sep=0.15)))
@@ -84,7 +85,8 @@ def perturbed_problem(seed: int, block_dim: int = 1):
     tr = float(np.real(np.trace(inside.flat)))
     flat = inside.flat - (2.0 * tr / n) * np.eye(n)
     problem = ConeProblem(samples, block_dim, grid,
-                          MatrixKernel(samples, block_dim, flat))
+                          MatrixKernel(samples, block_dim, flat),
+                          generator_restriction=grid if restricted else None)
     return problem, DiscreteMeasure(grid, blocks)
 
 
@@ -414,10 +416,10 @@ def recording_admm_floor(monkeypatch):
                                              (11, 2)])
 def test_admm_floor_is_below_the_certificate_violation(monkeypatch, seed,
                                                         block_dim):
-    # The certificate lies in the working-set dual cone, so weak duality
-    # puts its violation at or above L.
+    # The certificate lies in the restriction's dual cone, so weak duality
+    # puts its violation at or above L.  Only restricted problems run ADMM.
     floors = recording_admm_floor(monkeypatch)
-    problem, _ = perturbed_problem(seed, block_dim)
+    problem, _ = perturbed_problem(seed, block_dim, restricted=True)
     cert = dual_search(problem)
     assert cert is not None
     assert len(floors) == 1
@@ -458,14 +460,14 @@ def recording_gain_gate(monkeypatch):
 
 @pytest.mark.parametrize("make_problem", [
     restricted_infeasible_problem,
-    lambda: perturbed_problem(11, 2)[0],
+    lambda: perturbed_problem(11, 2, restricted=True)[0],
 ], ids=["restricted", "perturbed-11-2"])
 def test_admm_stops_once_no_gain_is_left(monkeypatch, make_problem):
     problem = make_problem()
     n = problem.dim
     sigma = problem.target.flat
-    work = cone._coarse_seed(problem.effective_grid, cone.WORKING_LIMIT)
-    conj_coefs = np.conj(_generator_data(work, problem.sample_set,
+    conj_coefs = np.conj(_generator_data(problem.effective_grid,
+                                         problem.sample_set,
                                          problem.block_dim)[1])
     # The same ADMM with the gap test switched off ends at its stall rule.
     stall_checks = []
@@ -492,9 +494,117 @@ def test_admm_stops_once_no_gain_is_left(monkeypatch, make_problem):
     assert floor == floors[0]
     assert POLISH_GAIN * viol < floor - GRID_EPS * abs(floor)
     # Weak duality: the feasible iterate and the certificate both lie in
-    # the working-set dual cone, so both pair at or above L.
+    # the restriction's dual cone, so both pair at or above L.
     assert floor <= viol + 1e-9 * abs(viol)
     assert floor <= cert.violation + 1e-9 * abs(cert.violation)
+
+
+def row_residuals(rows, b, blocks):
+    """Each row of an ``_sdp`` problem read on the blocks, minus its b."""
+    got = sum(np.bincount(i, np.real(v * x.ravel()[col]), minlength=len(b))
+              for (i, col, v), x in zip(rows, blocks))
+    return got - b
+
+
+def test_sos_rows_encode_the_identity():
+    # For a random Hermitian W of trace n, C* (W - D* W D) C =
+    # sum lam^p conj(lam)^q P_pq at three values of lam, and a random split
+    # of the P_pq into S and T that reproduces P_W meets the rows of
+    # ``_sos_rows``.
+    rng = np.random.default_rng(3)
+    x = np.repeat(random_disk_points(rng, 3, rmax=0.7, min_sep=0.15), 2)
+    n = len(x)
+
+    def hermitian():
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a + a.conj().T
+
+    w = hermitian()
+    w += (n - np.real(np.trace(w))) / n * np.eye(n)
+    xm = np.diag(x)
+    xh = xm.conj().T
+    p00 = w - xh @ xh @ xh @ w @ xm @ xm @ xm
+    p10 = -xh @ w + xh @ xh @ xh @ w @ xm @ xm
+    p11 = xh @ w @ xm - xh @ xh @ w @ xm @ xm
+    t, s11 = hermitian(), hermitian()
+    s20 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = np.zeros((3 * n, 3 * n), dtype=complex)
+    s[:n, :n] = p00 - t
+    s[n:2 * n, n:2 * n] = s11
+    s[2 * n:, 2 * n:] = p11 + t - s11
+    s[:n, n:2 * n] = p10 - s20
+    s[n:2 * n, :n] = s[:n, n:2 * n].conj().T
+    s[2 * n:, :n] = s20
+    s[:n, 2 * n:] = s20.conj().T
+    for lam in (0.3 - 0.2j, -0.7j, 0.95):
+        c = np.eye(n) - np.conj(lam) * xm
+        d = np.diag(kernels.test_fn(lam, x))
+        lhs = c.conj().T @ (w - d.conj().T @ w @ d) @ c
+        rhs = (p00 + lam * p10 + np.conj(lam) * p10.conj().T
+               + abs(lam) ** 2 * p11)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        v = np.vstack([np.eye(n), lam * np.eye(n), np.conj(lam) * np.eye(n)])
+        sos = v.conj().T @ s @ v + (1.0 - abs(lam) ** 2) * t
+        assert np.max(np.abs(lhs - sos)) < 1e-12
+
+    rows, b = cone._sos_rows(x)
+    assert len(b) == 6 * n * n + 1
+    assert np.max(np.abs(row_residuals(rows, b, [w, s, t]))) < 1e-12
+    # A lam^2 term, or a W off trace n, breaks a row.
+    s[2 * n:, n:2 * n] = s[n:2 * n, 2 * n:] = 1e-3
+    assert np.max(np.abs(row_residuals(rows, b, [w, s, t]))) >= 1e-3
+    assert np.max(np.abs(row_residuals(rows, b, [2 * w, 0 * s, 0 * t]))) > 1.0
+
+
+def trace_rows(n: int):
+    """The one row trace X = 1 of an n x n block."""
+    return [(np.zeros(n, dtype=int), np.arange(n) * (n + 1),
+             np.ones(n, dtype=complex))]
+
+
+def test_sdp_finds_the_least_eigenvalue(monkeypatch):
+    # min Re tr(C X) over PSD X of trace 1 is the least eigenvalue of C,
+    # and the dual y is the same number.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    c = a + a.conj().T
+    low = float(np.linalg.eigvalsh(c)[0])
+    (x,), y, stop = cone._sdp([c], trace_rows(5), np.ones(1))
+    assert stop == "converged"
+    assert abs(float(np.real(np.trace(c @ x))) - low) < 1e-7
+    assert abs(float(y[0]) - low) < 1e-7
+    monkeypatch.setattr(cone, "SDP_ITERS", 2)
+    assert cone._sdp([c], trace_rows(5), np.ones(1))[2] == "cap"
+
+
+def test_sdp_stops_when_the_schur_cholesky_fails():
+    # The same row twice makes the Schur complement singular: the solver
+    # stops at its first factorization and returns the starting iterate.
+    rows = trace_rows(4)
+    (i, col, v), = rows
+    twice = [(np.concatenate([i, i + 1]), np.tile(col, 2), np.tile(v, 2))]
+    (x,), y, stop = cone._sdp([np.diag([1.0, 2.0, 3.0, 4.0])], twice,
+                              np.ones(2))
+    assert stop == "cholesky"
+    assert np.array_equal(x, np.eye(4)) and np.array_equal(y, np.zeros(2))
+
+
+def test_sos_optimum_is_sound_on_members():
+    # The diagonal-unitary kernel at the three flagship points lies in the
+    # cone, so no W with P_W a sum of squares pairs below -MIN_VIOLATION
+    # with it, and the search certifies nothing.
+    samples = SampleSet((0.0, 0.5, -0.5))
+    mb = MatrixBlaschke(0.5, -0.5, np.eye(2, dtype=complex))
+    target = kernels.sigma_kernel(kernels.f_eval(mb, samples.array()),
+                                  samples)
+    n = 2 * len(samples)
+    rows, b = cone._sos_rows(np.repeat(samples.array(), 2))
+    costs = [target.flat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
+    xs, _, stop = cone._sdp(costs, rows, b)
+    assert stop in ("converged", "cholesky")
+    assert np.max(np.abs(row_residuals(rows, b, xs))) < 1e-6
+    assert float(np.real(np.trace(xs[0] @ target.flat))) >= -cone.MIN_VIOLATION
+    assert dual_search(ConeProblem(samples, 2, default_grid(), target)) is None
 
 
 def test_dual_zero_target_yields_none():

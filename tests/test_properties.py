@@ -162,7 +162,8 @@ def test_invalid_config_field_exits_one(case):
     command, text = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        for name in ("_dr_run", "_admm_min_violation", "_dual_polish"):
+        for name in ("_dr_run", "_admm_min_violation", "_dual_polish",
+                     "_sdp"):
             mp.setattr(cone, name, solve_reached)
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(text)
