@@ -674,22 +674,166 @@ def _mixed_with_identity(w, sigma_hat, audit, floor: float):
     return mixed, vals, viol
 
 
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
+
+
+def _lower_inverse(low):
+    """Invert a lower-triangular matrix in place, by halves: the inverse
+    of [[A, 0], [B, C]] is [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  Below 64
+    rows LAPACK inverts directly; above, the work is matrix products."""
+    h = len(low) // 2
+    if h < 32:
+        low[...] = np.linalg.inv(low)
+    else:
+        a = _lower_inverse(low[:h, :h])
+        c = _lower_inverse(low[h:, h:])
+        low[h:, :h] = -c @ (low[h:, :h] @ a)
+    return low
+
+
+class _Rows:
+    """The rows of an ``_sdp`` problem, read from its Hadamard equations.
+
+    ``rows`` is a list of equations (kind, size, terms) over a size x size
+    grid of entries (a, c).  Each term (block, row offset, column offset,
+    coefficient), the coefficient a scalar or a size x size array, adds
+    coefficient[a, c] X_block[row offset + a, column offset + c] to entry
+    (a, c), and the rows read the summed grid E: a "hermitian" equation
+    (one whose E is Hermitian on Hermitian blocks) has a row for the real
+    part of every entry on and below the diagonal, then one for the
+    imaginary part of every entry below it, row-major; a "full" equation
+    has the real part of every entry, then the imaginary part of every
+    entry; a "sum" equation has the one row Re sum_ac E[a, c].
+    ``sizes`` are the block sizes.
+    """
+
+    def __init__(self, rows, sizes):
+        self.sizes = sizes
+        # (first row, size, terms, selection): a selection indexes a grid's
+        # real parts followed by its imaginary parts; a sum has none.
+        self.eqs = []
+        start = 0
+        for kind, size, terms in rows:
+            terms = [(k, ro, co, np.asarray(coef, dtype=complex))
+                     for k, ro, co, coef in terms]
+            sel = None
+            if kind != "sum":
+                r, c = np.divmod(np.arange(size * size), size)
+                full = kind == "full"
+                sel = np.concatenate([np.flatnonzero(full | (r >= c)),
+                                      size * size
+                                      + np.flatnonzero(full | (r > c))])
+            self.eqs.append((start, size, terms, sel))
+            start += 1 if sel is None else len(sel)
+        self.m = start
+        self.sums = [s for s, _, _, sel in self.eqs if sel is None]
+        # Every pair of grid equations with its term pairs on a shared block.
+        grids = [e for e in self.eqs if e[3] is not None]
+        self.pairs = []
+        for i, e in enumerate(grids):
+            for f in grids[i:]:
+                shared = [(k, ro1, co1, c1, ro2, co2, c2)
+                          for k, ro1, co1, c1 in e[2]
+                          for k2, ro2, co2, c2 in f[2] if k == k2]
+                if shared:
+                    self.pairs.append((e, f, shared))
+
+    def apply(self, xs):
+        """The rows read on the blocks xs."""
+        out = np.empty(self.m)
+        for start, size, terms, sel in self.eqs:
+            e = sum(coef * xs[k][ro:ro + size, co:co + size]
+                    for k, ro, co, coef in terms)
+            if sel is None:
+                out[start] = np.real(np.sum(e))
+            else:
+                out[start:start + len(sel)] = np.concatenate(
+                    [e.real.ravel(), e.imag.ravel()])[sel]
+        return out
+
+    def adjoint(self, y):
+        """sum_i y_i A_i, block by block, with A_i Hermitian: the matrix
+        with Re tr(A_i X) = row i of X for every Hermitian X."""
+        gs = [np.zeros((s, s), dtype=complex) for s in self.sizes]
+        for start, size, terms, sel in self.eqs:
+            if sel is None:
+                grid = y[start]
+            else:
+                g = np.bincount(sel, y[start:start + len(sel)],
+                                minlength=2 * size * size)
+                grid = (g[:size * size] - 1j * g[size * size:]).reshape(
+                    size, size)
+            for k, ro, co, coef in terms:
+                gs[k][co:co + size, ro:ro + size] += (coef * grid).T
+        return [_herm(g) for g in gs]
+
+    def schur(self, xs, zis):
+        """M_ij = sum_k Re tr(A_ik X_k A_jk Zi_k) for Hermitian X_k, Zi_k.
+
+        Take grid rows i = (a, c) and j = (a', c') of two equations, a
+        term (r, s, u) of the first and a term (r', s', v) of the second
+        on one block (row offset, column offset, coefficient), and the
+        phase p = 1 of a real-part row or -i of an imaginary-part row.
+        Then M_ij sums 1/4 Re(p_i p_j T + p_i conj(p_j) B) over such term
+        pairs, with
+        T = u[a, c] v[a', c'] (X[r + a, s' + c'] Zi[r' + a', s + c]
+        + Zi[r + a, s' + c'] X[r' + a', s + c]) and
+        B = u[a, c] conj(v[a', c']) (X[r + a, r' + a'] Zi[s' + c', s + c]
+        + Zi[r + a, r' + a'] X[s' + c', s + c]),
+        each a broadcast of sub-blocks over the n^4 index pairs, so a term
+        pair costs O(n^4) whatever its rows.  A sum row i is the rows read
+        on herm(Zi_k A_ik X_k).
+        """
+        big = np.zeros((self.m, self.m))
+        for (se, p, _, sel_e), (sf, q, _, sel_f), shared in self.pairs:
+            tt = bb = 0.0
+            for k, r1, s1, u, r2, s2, v in shared:
+                x, zi = xs[k], zis[k]
+                uv = u[..., None, None] if u.ndim else u
+                tt = tt + uv * v * (
+                    x[r1:r1 + p, None, None, s2:s2 + q]
+                    * zi[r2:r2 + q, s1:s1 + p].T[:, :, None]
+                    + zi[r1:r1 + p, None, None, s2:s2 + q]
+                    * x[r2:r2 + q, s1:s1 + p].T[:, :, None])
+                bb = bb + uv * np.conj(v) * (
+                    x[r1:r1 + p, None, r2:r2 + q, None]
+                    * zi[s2:s2 + q, s1:s1 + p].T[:, None, :]
+                    + zi[r1:r1 + p, None, r2:r2 + q, None]
+                    * x[s2:s2 + q, s1:s1 + p].T[:, None, :])
+            pp = (tt + bb).reshape(p * p, q * q)
+            qq = (tt - bb).reshape(p * p, q * q)
+            full = np.concatenate([np.concatenate([pp.real, qq.imag], 1),
+                                   np.concatenate([pp.imag, -qq.real], 1)])
+            block = 0.25 * full[np.ix_(sel_e, sel_f)]
+            big[se:se + len(sel_e), sf:sf + len(sel_f)] = block
+            big[sf:sf + len(sel_f), se:se + len(sel_e)] = block.T
+        for i in self.sums:
+            unit = np.zeros(self.m)
+            unit[i] = 1.0
+            big[i] = big[:, i] = self.apply(
+                [_herm(zi @ a @ x)
+                 for a, x, zi in zip(self.adjoint(unit), xs, zis)])
+        return big
+
+
 def _sdp(costs, rows, b):
     """Minimize sum_k Re tr(C_k X_k) over Hermitian PSD blocks X_k subject
     to equality rows, by a primal-dual interior-point method.
 
-    ``costs`` holds one Hermitian C_k per block.  ``rows[k]`` holds block
-    k's part of the rows as sparse (row, column, value) triples, the column
-    indexing X_k's entries in row-major order: row i asks that
-    Re sum value X_k.flat[column], summed over i's triples in every block,
-    equal b_i.  Row i acts on Hermitian blocks as Re tr(A_ik X_k) with A_ik
-    the Hermitian part of the matrix G_ik that holds each value at the
-    transposed position, and the dual slack is Z_k = C_k - sum_i y_i A_ik.
+    ``costs`` holds one Hermitian C_k per block.  ``rows`` holds the rows as
+    Hadamard equations over entry grids (see ``_Rows``), and b one value per
+    row.  Row i acts on Hermitian blocks as sum_k Re tr(A_ik X_k) with A_ik
+    Hermitian, and the dual slack is Z_k = C_k - sum_i y_i A_ik.
 
     From X_k = Z_k = I and y = 0, each iteration takes the HKM direction:
     dZ = R_d - A^T dy and dX = herm(target - X dZ Z^-1), with dy from the
     Schur complement M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^-1), which is
-    gathered from entries of X_k and Z_k^-1 pair by pair of triples.
+    built from the row structure, one broadcast of sub-blocks of X_k and
+    Z_k^-1 per pair of equation terms (``_Rows.schur``), and solved with
+    its inverted Cholesky factor (``_lower_inverse``).  Each iteration
+    factors every X_k and Z_k once: the inverse Cholesky factor of Z_k
+    gives Z_k^-1, and those of both sides give the step lengths.
     Mehrotra's predictor aims at target -X; with sigma = (mu_aff / mu)^3 the
     corrector aims at sigma mu Z^-1 - X - herm(dX_aff dZ_aff Z^-1).  Each
     side steps 0.95 of the way to its PSD boundary, capped at a full step.
@@ -700,62 +844,13 @@ def _sdp(costs, rows, b):
     iterate that rounding left on its boundary), or "cap" after SDP_ITERS
     iterations.  Returns (X blocks, y, stop) at the last iterate.
     """
-    m = len(b)
-    parts = []
-    for c, (i, col, val) in zip(costs, rows):
-        by_row = np.argsort(i, kind="stable")
-        i, col, val = i[by_row], col[by_row], val[by_row]
-        starts = np.flatnonzero(np.diff(i, prepend=-1))
-        parts.append((i, *np.divmod(col, len(c)), val, starts))
-    width = max(len(c) for c in costs)
+    ops = _Rows(rows, [len(c) for c in costs])
 
-    def herm(a):
-        return 0.5 * (a + a.conj().T)
-
-    def apply(xs):
-        return sum(np.bincount(i, np.real(v * x[r, c]), minlength=m)
-                   for (i, r, c, v, _), x in zip(parts, xs))
-
-    def adjoint(y):
-        out = []
-        for (i, r, c, v, _), cost in zip(parts, costs):
-            g = np.zeros(cost.shape, dtype=complex)
-            np.add.at(g, (c, r), y[i] * v)
-            out.append(herm(g))
-        return out
-
-    def schur(xs, zis):
-        # Pair (s, t) of a block's triples adds 1/4 Re of
-        # v_s v_t (X[r_s, c_t] Zi[r_t, c_s] + Zi[r_s, c_t] X[r_t, c_s])
-        # + v_s conj(v_t) (X[r_s, r_t] Zi[c_t, c_s] + Zi[r_s, r_t] X[c_t, c_s])
-        # to M at (row of s, row of t), gathered as many rows at a time as
-        # the largest block has rows.
-        big = np.zeros((m, m))
-        for (i, r, c, v, starts), x, zi in zip(parts, xs, zis):
-            ends = np.append(starts[1:], len(i))
-            for lo in range(0, len(starts), width):
-                first = starts[lo:lo + width]
-                s = slice(first[0], ends[lo + len(first) - 1])
-                rs, cs, vs = r[s, None], c[s, None], v[s, None]
-                q = np.real(vs * v * (x[rs, c] * zi[r, cs]
-                                      + zi[rs, c] * x[r, cs]))
-                q += np.real(vs * np.conj(v) * (x[rs, r] * zi[c, cs]
-                                                + zi[rs, r] * x[c, cs]))
-                q = np.add.reduceat(np.add.reduceat(q, first - first[0], 0),
-                                    starts, 1)
-                big[np.ix_(i[first], i[starts])] += 0.25 * q
-        return big
-
-    def step(ps, ds):
+    def step(lis, ds):
         # 0.95 of the way to the boundary along d, at most a full step.
-        alpha = 1.0
-        for p, d in zip(ps, ds):
-            li = np.linalg.inv(np.linalg.cholesky(p))
-            low = linalg.herm_eigvals_batch((li @ d @ li.conj().T)[None])
-            low = float(low[0, 0])
-            if low < 0.0:
-                alpha = min(alpha, -0.95 / low)
-        return alpha
+        low = min(float(linalg.herm_eigvals_batch(
+            (li @ d @ li.conj().T)[None])[0, 0]) for li, d in zip(lis, ds))
+        return 1.0 if low >= 0.0 else min(1.0, -0.95 / low)
 
     def inner(xs, zs):
         return sum(float(np.real(np.sum(x * z.conj())))
@@ -763,14 +858,14 @@ def _sdp(costs, rows, b):
 
     xs = [np.eye(len(c), dtype=complex) for c in costs]
     zs = [x.copy() for x in xs]
-    y = np.zeros(m)
+    y = np.zeros(len(b))
     total = sum(len(c) for c in costs)
     scale_b = 1.0 + float(np.linalg.norm(b))
     scale_c = 1.0 + math.sqrt(inner(costs, costs))
     stop = "cap"
     for _ in range(SDP_ITERS):
-        rp = b - apply(xs)
-        rd = [c - z - a for c, z, a in zip(costs, zs, adjoint(y))]
+        rp = b - ops.apply(xs)
+        rd = [c - z - a for c, z, a in zip(costs, zs, ops.adjoint(y))]
         pobj, dobj, gap = inner(costs, xs), float(b @ y), inner(xs, zs)
         if max(gap / (1.0 + abs(pobj) + abs(dobj)),
                float(np.linalg.norm(rp)) / scale_b,
@@ -778,28 +873,30 @@ def _sdp(costs, rows, b):
             stop = "converged"
             break
         try:
-            zis = [herm(np.linalg.inv(z)) for z in zs]
-            li = np.linalg.inv(np.linalg.cholesky(schur(xs, zis)))
+            lxs = [_lower_inverse(np.linalg.cholesky(x)) for x in xs]
+            lzs = [_lower_inverse(np.linalg.cholesky(z)) for z in zs]
+            zis = [_herm(lz.conj().T @ lz) for lz in lzs]
+            li = _lower_inverse(np.linalg.cholesky(ops.schur(xs, zis)))
 
             def direction(targets):
-                rhs = rp - apply([herm(t - x @ d @ zi) for t, x, d, zi
-                                  in zip(targets, xs, rd, zis)])
+                rhs = rp - ops.apply([_herm(t - x @ d @ zi) for t, x, d, zi
+                                      in zip(targets, xs, rd, zis)])
                 dy = li.T @ (li @ rhs)
-                dz = [d - a for d, a in zip(rd, adjoint(dy))]
-                dx = [herm(t - x @ d @ zi)
+                dz = [d - a for d, a in zip(rd, ops.adjoint(dy))]
+                dx = [_herm(t - x @ d @ zi)
                       for t, x, d, zi in zip(targets, xs, dz, zis)]
                 return dx, dy, dz
 
             dx, dy, dz = direction([-x for x in xs])
-            ap, ad = step(xs, dx), step(zs, dz)
+            ap, ad = step(lxs, dx), step(lzs, dz)
             mu = gap / total
             mu_aff = inner([x + ap * d for x, d in zip(xs, dx)],
                            [z + ad * d for z, d in zip(zs, dz)]) / total
             sigma = (mu_aff / mu) ** 3
             dx, dy, dz = direction([
-                sigma * mu * zi - x - herm(a @ d @ zi)
+                sigma * mu * zi - x - _herm(a @ d @ zi)
                 for zi, x, a, d in zip(zis, xs, dx, dz)])
-            ap, ad = step(xs, dx), step(zs, dz)
+            ap, ad = step(lxs, dx), step(lzs, dz)
         except np.linalg.LinAlgError:
             stop = "cholesky"
             break
@@ -823,45 +920,29 @@ def _sos_rows(x):
     of that is P_W(lam) = V* S V + (1 - |lam|^2) T with S, T PSD and
     V = (I, lam I, conj(lam) I) (Scherer & Hol, 2006).
 
-    Blocks W (n), S (3n) and T (n).  Rows: trace W = n, then, coefficient
-    by coefficient, S_00 + T = P_00 and S_11 + S_22 - T = P_11 (Hermitian:
-    real parts on and below the diagonal, imaginary parts below),
-    S_01 + S_20 = P_10 and S_21 = 0 (real and imaginary part of every
-    entry); the lam-bar coefficients are their adjoints.
-    Returns (rows, b) in ``_sdp``'s form.
+    Blocks W (n), S (3n) and T (n).  Each P_pq is a Hadamard product of W
+    with a fixed n x n coefficient, so every row is an entry of one of five
+    equations over n x n grids (``_Rows``): the sum trace W = n, the
+    Hermitian S_00 + T = P_00 and S_11 + S_22 - T = P_11, and the full
+    S_01 + S_20 = P_10 and S_21 = 0; the lam-bar coefficients are their
+    adjoints.  Returns (rows, b) in ``_sdp``'s form.
     """
     n = len(x)
     cx, rx = np.conj(x)[:, None], x[None, :]
-    p00 = (1.0 - cx ** 3 * rx ** 3).ravel()
-    p10 = (-cx + cx ** 3 * rx ** 2).ravel()
-    p11 = (cx * rx - cx ** 2 * rx ** 2).ravel()
-    r, c = np.divmod(np.arange(n * n), n)
-    sizes = (n, 3 * n, n)
-    rows = [[(np.zeros(n, dtype=int), np.arange(n) * (n + 1),
-              np.ones(n, dtype=complex))], [], []]
-    count = 1
-
-    def equation(terms, hermitian):
-        # terms: (block, row offset, column offset, coefficient) each
-        nonlocal count
-        for keep, phase in (((r >= c) if hermitian else True, 1.0),
-                            ((r > c) if hermitian else True, -1j)):
-            idx = np.flatnonzero(np.broadcast_to(keep, r.shape))
-            ids = count + np.arange(len(idx))
-            for block, ro, co, coef in terms:
-                col = (ro + r[idx]) * sizes[block] + co + c[idx]
-                val = phase * np.broadcast_to(coef, r.shape)[idx]
-                rows[block].append((ids, col, val.astype(complex)))
-            count += len(idx)
-
-    equation([(1, 0, 0, 1.0), (2, 0, 0, 1.0), (0, 0, 0, -p00)], True)
-    equation([(1, n, n, 1.0), (1, 2 * n, 2 * n, 1.0), (2, 0, 0, -1.0),
-              (0, 0, 0, -p11)], True)
-    equation([(1, 0, n, 1.0), (1, 2 * n, 0, 1.0), (0, 0, 0, -p10)], False)
-    equation([(1, 2 * n, n, 1.0)], False)
-    b = np.zeros(count)
+    p00 = 1.0 - cx ** 3 * rx ** 3
+    p10 = -cx + cx ** 3 * rx ** 2
+    p11 = cx * rx - cx ** 2 * rx ** 2
+    rows = [
+        ("sum", n, [(0, 0, 0, np.eye(n))]),
+        ("hermitian", n, [(1, 0, 0, 1.0), (2, 0, 0, 1.0), (0, 0, 0, -p00)]),
+        ("hermitian", n, [(1, n, n, 1.0), (1, 2 * n, 2 * n, 1.0),
+                          (2, 0, 0, -1.0), (0, 0, 0, -p11)]),
+        ("full", n, [(1, 0, n, 1.0), (1, 2 * n, 0, 1.0), (0, 0, 0, -p10)]),
+        ("full", n, [(1, 2 * n, n, 1.0)]),
+    ]
+    b = np.zeros(6 * n * n + 1)
     b[0] = n
-    return [tuple(map(np.concatenate, zip(*block))) for block in rows], b
+    return rows, b
 
 
 def dual_search(problem: ConeProblem) -> DualCertificate | None:

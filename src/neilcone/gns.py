@@ -38,7 +38,9 @@ class GnsSpace:
     first) and satisfies gram ~= factor @ factor^*.  A stacked value vector
     f maps to coordinates factor^* @ f; the coordinate inner product then
     reproduces g^* W f, so operator norms in coordinates are norms in the
-    quotient space.
+    quotient space.  ``complement`` holds the dropped eigenvectors of the
+    same decomposition: an orthonormal basis of the complement of the
+    carrier (the range of ``factor``), empty at full rank.
     """
 
     sample_set: SampleSet
@@ -47,6 +49,7 @@ class GnsSpace:
     factor: np.ndarray
     eigs: np.ndarray
     rank: int
+    complement: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -88,7 +91,7 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1) -> GnsSpace
             "Gram matrix is %r but %d samples at block dimension %d need "
             "(%d, %d)" % (w.shape, len(samples), block_dim, n, n)
         )
-    factor = linalg.rank_factor(w)
+    factor, complement = linalg.rank_factor(w)
     eigs = np.real(np.sum(np.abs(factor) ** 2, axis=0))
     return GnsSpace(
         sample_set=samples,
@@ -97,6 +100,7 @@ def build_gns(w: np.ndarray, samples: SampleSet, block_dim: int = 1) -> GnsSpace
         factor=factor,
         eigs=eigs,
         rank=factor.shape[1],
+        complement=complement,
     )
 
 
@@ -105,12 +109,14 @@ def _mult_blocks(space: GnsSpace, values_batch):
     rows at a time.
 
     ``values_batch`` has one row of per-sample values per multiplier.  The
-    residual of a row measures how much its multiplication moves the
-    carrier subspace of the Gram matrix, scaled by the spread of the
-    retained spectrum; beyond WELLDEF_TOL the operator is not well defined
-    on the quotient, and the batch is rejected rather than projected, with
-    the worst row of the first failing block named by its index in the
-    whole batch.
+    residual of a row measures how much its multiplication D moves the
+    carrier subspace of the Gram matrix: ||Q* D B|| for the orthonormal
+    carrier basis B and its complement Q (``GnsSpace.complement``), which
+    equals ||(I - B B*) D B||, scaled by the spread of the retained
+    spectrum.  At full rank Q is empty and the residual is exactly 0.
+    Beyond WELLDEF_TOL the operator is not well defined on the quotient,
+    and the batch is rejected rather than projected, with the worst row of
+    the first failing block named by its index in the whole batch.
     """
     vals = np.asarray(values_batch, dtype=complex)
     if vals.ndim != 2 or vals.shape[1] != len(space.sample_set):
@@ -121,13 +127,13 @@ def _mult_blocks(space: GnsSpace, values_batch):
     e = space.factor
     basis = e / np.sqrt(space.eigs)[None, :]
     spread = math.sqrt(float(space.eigs[0] / space.eigs[-1]))
+    q_adj = space.complement.conj().T
     step = linalg.GRID_BLOCK
     for start in range(0, len(vals), step):
         block = vals[start:start + step]
         dg = np.repeat(block, space.block_dim, axis=1)  # (K, n)
         moved = dg[:, :, None] * basis[None, :, :]  # (K, n, r)
-        leak = moved - basis[None] @ (basis.conj().T[None] @ moved)
-        residuals = linalg.op_norm_batch(leak) * spread
+        residuals = linalg.op_norm_batch(q_adj @ moved) * spread
         worst = int(np.argmax(residuals))
         if residuals[worst] > WELLDEF_TOL:
             raise ValueError(

@@ -196,7 +196,7 @@ def herm_eigvals_batch(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a (batch, n, n) stack, got %r" % (h.shape,))
-    if np.tril(~np.isfinite(h)).any():
+    if not np.isfinite(h).all() and np.tril(~np.isfinite(h)).any():
         raise ValueError("cannot decompose a matrix with non-finite entries")
     return np.linalg.eigvalsh(h, UPLO="L")
 
@@ -213,11 +213,12 @@ def op_norm(a) -> float:
 
 def op_norm_batch(a) -> np.ndarray:
     """Largest singular value of every matrix in a stack, via (f A)* A f
-    with f from ``_pow2_factors``, so huge and tiny entries keep their norm."""
+    with f from ``_pow2_factors``, so huge and tiny entries keep their norm.
+    Empty matrices (no rows or no columns) have norm 0, with no eigen call."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 3:
         raise ValueError("expected a (batch, m, n) stack, got %r" % (a.shape,))
-    if a.shape[-1] == 0:
+    if 0 in a.shape[1:]:
         return np.zeros(a.shape[0])
     if not np.isfinite(a).all():
         raise ValueError("cannot take the norm of a matrix with non-finite entries")
@@ -238,10 +239,12 @@ def psd_project_batch(h) -> np.ndarray:
     return from_lower(out)
 
 
-def rank_factor(h) -> np.ndarray:
+def rank_factor(h) -> tuple[np.ndarray, np.ndarray]:
     """Factor a PSD matrix as E E* with one column per eigenvalue above
     RANK_TOL times the largest eigenvalue (RANK_TOL itself for a zero matrix).
 
+    Returns (E, Q): Q holds the other eigenvectors of the same
+    decomposition, an orthonormal basis of the complement of E's range.
     A matrix that is indefinite beyond the same threshold is rejected.
     """
     (w,), (v,) = herm_eig_batch(np.asarray(h, dtype=complex)[None])
@@ -252,8 +255,9 @@ def rank_factor(h) -> np.ndarray:
             "matrix is indefinite: smallest eigenvalue %.6e is below -%.1e"
             % (float(w[0]), thresh)
         )
-    keep = np.flatnonzero(w > thresh)[::-1]  # descending
-    return v[:, keep] * np.sqrt(w[keep])[None, :]
+    keep = w > thresh
+    kept = np.flatnonzero(keep)[::-1]  # descending
+    return v[:, kept] * np.sqrt(w[kept])[None, :], v[:, ~keep]
 
 
 def align_isometries(v, w) -> np.ndarray:

@@ -499,11 +499,47 @@ def test_admm_stops_once_no_gain_is_left(monkeypatch, make_problem):
     assert floor <= cert.violation + 1e-9 * abs(cert.violation)
 
 
+def row_entries(kind: str, size: int):
+    """The grid entries and phases of an equation's rows, in row order: 1
+    reads an entry's real part, -1j its imaginary part, and a sum row is
+    None."""
+    if kind == "sum":
+        return [None]
+    r, c = np.divmod(np.arange(size * size), size)
+    low = (r >= c) | (kind == "full")
+    below = (r > c) | (kind == "full")
+    return ([(a, b, 1.0) for a, b in zip(r[low], c[low])]
+            + [(a, b, -1j) for a, b in zip(r[below], c[below])])
+
+
 def row_residuals(rows, b, blocks):
     """Each row of an ``_sdp`` problem read on the blocks, minus its b."""
-    got = sum(np.bincount(i, np.real(v * x.ravel()[col]), minlength=len(b))
-              for (i, col, v), x in zip(rows, blocks))
-    return got - b
+    got = []
+    for kind, size, terms in rows:
+        e = sum(coef * blocks[k][ro:ro + size, co:co + size]
+                for k, ro, co, coef in terms)
+        got += [np.real(np.sum(e)) if entry is None
+                else np.real(entry[2] * e[entry[0], entry[1]])
+                for entry in row_entries(kind, size)]
+    return np.array(got) - b
+
+
+def row_matrices(rows, sizes):
+    """Each row's Hermitian A_ik, block by block, built entry by entry: the
+    row reads Re sum_k tr(A_ik X_k) on Hermitian blocks X_k."""
+    mats = []
+    for kind, size, terms in rows:
+        for entry in row_entries(kind, size):
+            gs = [np.zeros((s, s), dtype=complex) for s in sizes]
+            for k, ro, co, coef in terms:
+                coef = np.broadcast_to(coef, (size, size))
+                if entry is None:
+                    gs[k][co:co + size, ro:ro + size] += coef.T
+                else:
+                    a, c, phase = entry
+                    gs[k][co + c, ro + a] += phase * coef[a, c]
+            mats.append([0.5 * (g + g.conj().T) for g in gs])
+    return mats
 
 
 def test_sos_rows_encode_the_identity():
@@ -558,8 +594,31 @@ def test_sos_rows_encode_the_identity():
 
 def trace_rows(n: int):
     """The one row trace X = 1 of an n x n block."""
-    return [(np.zeros(n, dtype=int), np.arange(n) * (n + 1),
-             np.ones(n, dtype=complex))]
+    return [("sum", n, [(0, 0, 0, np.eye(n))])]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_schur_matches_dense_reference(n):
+    # M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^-1) from each row's Hermitian
+    # A_ik, for the SOS rows and random positive definite blocks.
+    rng = np.random.default_rng(40 + n)
+    x = np.array(random_disk_points(rng, n, rmax=0.8, min_sep=0.1))
+    rows, b = cone._sos_rows(x)
+    sizes = [n, 3 * n, n]
+    xs = [random_psd(rng, s) + 0.1 * np.eye(s) for s in sizes]
+    zis = [np.linalg.inv(random_psd(rng, s) + 0.1 * np.eye(s)) for s in sizes]
+    zis = [0.5 * (z + z.conj().T) for z in zis]
+    mats = row_matrices(rows, sizes)
+    assert len(mats) == len(b)
+    # The matrices read the rows: Re tr(A_i X) is row i on Hermitian X.
+    read = [sum(np.real(np.trace(a @ x_k)) for a, x_k in zip(m, xs))
+            for m in mats]
+    assert np.max(np.abs(read - b - row_residuals(rows, b, xs))) < 1e-12
+    ref = np.array([[sum(np.real(np.trace(a @ x_k @ c @ z_k))
+                         for a, c, x_k, z_k in zip(mi, mj, xs, zis))
+                     for mj in mats] for mi in mats])
+    got = cone._Rows(rows, sizes).schur(xs, zis)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_sdp_finds_the_least_eigenvalue(monkeypatch):
@@ -580,9 +639,7 @@ def test_sdp_finds_the_least_eigenvalue(monkeypatch):
 def test_sdp_stops_when_the_schur_cholesky_fails():
     # The same row twice makes the Schur complement singular: the solver
     # stops at its first factorization and returns the starting iterate.
-    rows = trace_rows(4)
-    (i, col, v), = rows
-    twice = [(np.concatenate([i, i + 1]), np.tile(col, 2), np.tile(v, 2))]
+    twice = trace_rows(4) * 2
     (x,), y, stop = cone._sdp([np.diag([1.0, 2.0, 3.0, 4.0])], twice,
                               np.ones(2))
     assert stop == "cholesky"
@@ -605,6 +662,25 @@ def test_sos_optimum_is_sound_on_members():
     assert np.max(np.abs(row_residuals(rows, b, xs))) < 1e-6
     assert float(np.real(np.trace(xs[0] @ target.flat))) >= -cone.MIN_VIOLATION
     assert dual_search(ConeProblem(samples, 2, default_grid(), target)) is None
+
+
+def test_sdp_meets_the_rows_on_the_flagship():
+    # Whatever the stop, the last iterate of the three-point flagship's SOS
+    # solve meets every row within 1e-9 (1 + |b|), and its duality gap
+    # pobj - b.y is below 1e-6 relative.
+    samples = SampleSet((0.0, 0.5, -0.5))
+    mb = MatrixBlaschke(0.5, -0.5, DEFAULT_UNITARY)
+    target = kernels.sigma_kernel(kernels.f_eval(mb, samples.array()),
+                                  samples)
+    n = 2 * len(samples)
+    rows, b = cone._sos_rows(np.repeat(samples.array(), 2))
+    costs = [target.flat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
+    xs, y, _ = cone._sdp(costs, rows, b)
+    scale = 1.0 + float(np.linalg.norm(b))
+    assert np.max(np.abs(row_residuals(rows, b, xs))) <= 1e-9 * scale
+    pobj = float(np.real(np.trace(xs[0] @ target.flat)))
+    dobj = float(b @ y)
+    assert abs(pobj - dobj) <= 1e-6 * (1.0 + abs(pobj) + abs(dobj))
 
 
 def test_dual_zero_target_yields_none():

@@ -77,6 +77,45 @@ def test_round_trip_on_rank_deficient_gram():
     assert np.max(np.abs(space.factor @ space.factor.conj().T - w)) < 1e-12 * scale
 
 
+def test_leak_is_the_carrier_complement_norm(monkeypatch):
+    # The leak ||Q* D B|| of the complement Q equals ||(I - B B*) D B||
+    # times the spread, on rank-deficient Grams whose multiplications leak
+    # by any amount (the gate is lifted here to read every leak).
+    monkeypatch.setattr(gns, "WELLDEF_TOL", np.inf)
+    rng = np.random.default_rng(17)
+    for rank, d in ((1, 1), (3, 1), (7, 2)):
+        space = build_gns(random_psd(rng, d * N, rank=rank), SAMPLES,
+                          block_dim=d)
+        assert space.rank == rank
+        assert space.complement.shape == (d * N, d * N - rank)
+        basis = space.factor / np.sqrt(space.eigs)
+        spread = np.sqrt(space.eigs[0] / space.eigs[-1])
+        outside = np.eye(d * N) - basis @ basis.conj().T
+        for _ in range(3):
+            g = random_values(rng)
+            moved = np.repeat(g, d)[:, None] * basis
+            ref = np.linalg.norm(outside @ moved, 2) * spread
+            got = mult_operator(space, g).welldef_residual
+            assert ref > 1e-3
+            assert abs(got - ref) <= 1e-12
+
+
+def test_full_rank_leak_is_exactly_zero(monkeypatch):
+    # At full rank the complement is empty: every residual is exactly 0.0,
+    # and the multiplication matrices need no eigen call.
+    rng = np.random.default_rng(18)
+    space = build_gns(random_psd(rng, 2 * N) + 1e-3 * np.eye(2 * N), SAMPLES,
+                      block_dim=2)
+    assert space.rank == 2 * N and space.complement.shape == (2 * N, 0)
+
+    def refuse(h):
+        raise AssertionError("eigen call for a full-rank leak")
+
+    monkeypatch.setattr(linalg, "herm_eigvals_batch", refuse)
+    values = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+    assert gns._mult_matrices(space, values)[1].tolist() == [0.0] * 5
+
+
 def test_zero_gram_gives_trivial_quotient():
     space = build_gns(np.zeros((2 * N, 2 * N)), SAMPLES, block_dim=2)
     assert space.rank == 0

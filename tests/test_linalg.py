@@ -130,6 +130,17 @@ def test_op_norm_huge_and_tiny_entries(scale):
     assert linalg.op_norm(np.diag([1e-170, 2e-170])) == 2e-170
 
 
+def test_op_norm_batch_of_empty_matrices_makes_no_eigen_call(monkeypatch):
+    # No rows or no columns: every norm is 0, with no Gram or eigen work.
+    def refuse(h):
+        raise AssertionError("eigen call on empty matrices")
+
+    monkeypatch.setattr(linalg, "herm_eigvals_batch", refuse)
+    for shape in ((3, 0, 4), (3, 4, 0), (3, 0, 0)):
+        got = linalg.op_norm_batch(np.zeros(shape, dtype=complex))
+        assert got.shape == (3,) and not got.any()
+
+
 def test_psd_project_hand_checked():
     h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert np.allclose(linalg.psd_project_batch(h[None])[0], 0.5 * np.ones((2, 2)),
@@ -168,21 +179,25 @@ def test_psd_project_batch_matches_single_and_uses_lower_triangle_only():
 
 
 def test_rank_factor_hand_checked():
-    e = linalg.rank_factor(np.eye(2))
-    assert e.shape == (2, 2)
+    e, q = linalg.rank_factor(np.eye(2))
+    assert e.shape == (2, 2) and q.shape == (2, 0)
     assert np.allclose(e @ e.conj().T, np.eye(2), atol=1e-12)
-    e = linalg.rank_factor(np.diag([4.0, 0.0]).astype(complex))
+    e, q = linalg.rank_factor(np.diag([4.0, 0.0]).astype(complex))
     assert e.shape == (2, 1)
     assert np.allclose(e, [[2.0], [0.0]], atol=1e-12)
+    assert np.allclose(np.abs(q), [[0.0], [1.0]], atol=1e-12)
 
 
 def test_rank_factor_roundtrip_low_rank():
     rng = np.random.default_rng(7)
     for r in (1, 2, 4):
         h = random_psd(rng, 6, rank=r)
-        e = linalg.rank_factor(h)
-        assert e.shape[1] == r
+        e, q = linalg.rank_factor(h)
+        assert e.shape[1] == r and q.shape == (6, 6 - r)
         assert np.linalg.norm(e @ e.conj().T - h) <= 1e-9 * 6 * (1 + np.linalg.norm(h))
+        # The complement is orthonormal and orthogonal to the factor.
+        assert np.max(np.abs(q.conj().T @ q - np.eye(6 - r))) < 1e-12
+        assert np.max(np.abs(q.conj().T @ e)) < 1e-12 * (1 + np.linalg.norm(h))
 
 
 def test_rank_factor_rejects_indefinite():
