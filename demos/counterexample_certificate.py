@@ -39,8 +39,8 @@ def main():
     if cert is None:
         print("no certificate found; nothing to report")
         return
-    print("  grid margin  %+.3e   (>= 0 means positive on every generator)"
-          % cert.grid_margin)
+    print("  grid margin  %+.3e   (a proven lower bound; >= 0 means positive"
+          " on every generator)" % cert.grid_margin)
     print("  violation    %+.6e   (< 0 means negative on the target)"
           % cert.violation)
     print()

@@ -194,8 +194,9 @@ class DiscreteMeasure:
 class DualCertificate:
     """A separating functional, stored with its audit numbers.
 
-    ``grid_margin`` is the worst min-eigenvalue of W - D* W D over the
-    problem's audit grid; ``violation`` is trace(W K).
+    ``grid_margin`` is a proven lower bound on every min-eigenvalue of
+    W - D* W D over the problem's audit grid, of ``validation_grid_size``
+    generators (see ``_mixed_with_identity``); ``violation`` is trace(W K).
     W is normalized to trace n and must itself stay PSD up to slack, since
     squares lie in the cone.  Every gate is written so that NaN fails it.
     """
@@ -397,9 +398,9 @@ def _separating(theta, k_hat, coefs, tol):
     if not tr > 0.0:
         return None
     w *= w.shape[0] / tr
-    w, vals, viol = _mixed_with_identity(w, k_hat, _stack_audit(coefs),
-                                         MARGIN_FLOOR)
-    if (float(np.min(vals)) >= 0.0
+    w, margin, viol = _mixed_with_identity(w, k_hat, _stack_audit(coefs),
+                                           MARGIN_FLOOR)
+    if (margin >= 0.0
             and viol < -tol * float(np.linalg.norm(w)) - MIN_VIOLATION):
         return w
     return None
@@ -520,10 +521,10 @@ def _dual_polish(w0, sigma_hat, conj_coefs, trace_target, v_target, margin):
         if it % 25 == 0:
             # The affine-projected W satisfies the equality constraints
             # exactly; mixing repairs its margins at a small violation cost.
-            mixed, vals, viol = _mixed_with_identity(
+            mixed, mixed_margin, viol = _mixed_with_identity(
                 w, sigma_hat, audit, 0.25 * margin)
             if (viol < best_viol
-                    and float(np.min(vals)) >= 0.25 * margin
+                    and mixed_margin >= 0.25 * margin
                     and _functional_psd(mixed, GRID_EPS)):
                 best, best_viol = linalg.from_lower(mixed), viol
                 if viol <= v_target + 0.1 * abs(v_target):
@@ -654,24 +655,27 @@ def _mixed_with_identity(w, sigma_hat, audit, floor: float):
     """Blend W toward I until audit margins clear ``floor`` uniformly.
 
     ``audit(W)`` returns W's margins over the audit set and the identity's
-    margin there (``_stack_audit``, ``_audit_margins``).
-    margins are concave under mixing: margin((1-t)W + tI) >=
+    margin there (``_stack_audit``, ``_audit_margins``); it runs once, on W.
+    Margins are concave under mixing: margin((1-t)W + tI) >=
     (1-t) margin(W) + t margin(I), and margin(I), the least diagonal entry
     of the A_g (at least 1 - max|x|^4), is large, so a small t buys
-    a uniform floor at a proportional violation cost.
-    Returns (w_mixed, audit_margins, violation).
+    a uniform floor at a proportional violation cost.  At the t chosen here
+    that bound is ``floor`` on every audit generator, so the mix is not
+    audited again.
+    Returns (w_mixed, margin, violation), where margin is a proven lower
+    bound on every audit margin of w_mixed: W's least margin when no mix
+    is needed (or none raises the bound, margin(I) <= margin(W)), ``floor``
+    itself after a mix with t < 1 (not the rounded bound, which may land an
+    ulp below it), and margin(I) at t = 1.
     """
     vals, margin_identity = audit(w)
     worst = float(np.min(vals))
-    if worst >= floor:
-        viol = float(np.real(np.sum(w * np.conj(sigma_hat))))
-        return w, vals, viol
-    t = (floor - worst) / (margin_identity - worst)
-    t = min(max(t, 0.0), 1.0)
+    if worst >= floor or margin_identity <= worst:
+        return w, worst, float(np.real(np.sum(w * np.conj(sigma_hat))))
+    t = min((floor - worst) / (margin_identity - worst), 1.0)
+    margin = floor if t < 1.0 else margin_identity
     mixed = (1.0 - t) * w + t * np.eye(w.shape[0])
-    vals = audit(mixed)[0]
-    viol = float(np.real(np.sum(mixed * np.conj(sigma_hat))))
-    return mixed, vals, viol
+    return mixed, margin, float(np.real(np.sum(mixed * np.conj(sigma_hat))))
 
 
 def _herm(a):
@@ -831,9 +835,12 @@ def _sdp(costs, rows, b):
     Schur complement M_ij = sum_k Re tr(A_ik X_k A_jk Z_k^-1), which is
     built from the row structure, one broadcast of sub-blocks of X_k and
     Z_k^-1 per pair of equation terms (``_Rows.schur``), and solved with
-    its inverted Cholesky factor (``_lower_inverse``).  Each iteration
-    factors every X_k and Z_k once: the inverse Cholesky factor of Z_k
-    gives Z_k^-1, and those of both sides give the step lengths.
+    its inverted Cholesky factor (``_lower_inverse``), then one step of
+    iterative refinement, dy += L^-T L^-1 (rhs - M dy): near the optimum M
+    is ill-conditioned, and the refined dy keeps the iterate on the rows.
+    Each iteration factors every X_k and Z_k once: the inverse Cholesky
+    factor of Z_k gives Z_k^-1, and those of both sides give the step
+    lengths.
     Mehrotra's predictor aims at target -X; with sigma = (mu_aff / mu)^3 the
     corrector aims at sigma mu Z^-1 - X - herm(dX_aff dZ_aff Z^-1).  Each
     side steps 0.95 of the way to its PSD boundary, capped at a full step.
@@ -876,12 +883,14 @@ def _sdp(costs, rows, b):
             lxs = [_lower_inverse(np.linalg.cholesky(x)) for x in xs]
             lzs = [_lower_inverse(np.linalg.cholesky(z)) for z in zs]
             zis = [_herm(lz.conj().T @ lz) for lz in lzs]
-            li = _lower_inverse(np.linalg.cholesky(ops.schur(xs, zis)))
+            m = ops.schur(xs, zis)
+            li = _lower_inverse(np.linalg.cholesky(m))
 
             def direction(targets):
                 rhs = rp - ops.apply([_herm(t - x @ d @ zi) for t, x, d, zi
                                       in zip(targets, xs, rd, zis)])
                 dy = li.T @ (li @ rhs)
+                dy += li.T @ (li @ (rhs - m @ dy))
                 dz = [d - a for d, a in zip(rd, ops.adjoint(dy))]
                 dx = [_herm(t - x @ d @ zi)
                       for t, x, d, zi in zip(targets, xs, dz, zis)]
@@ -918,14 +927,22 @@ def _sos_rows(x):
     where |lam| = 1 gives z^2 up to phase, so W has no negative margin
     anywhere on the disk or at infinity when P_W >= 0 there.  A certificate
     of that is P_W(lam) = V* S V + (1 - |lam|^2) T with S, T PSD and
-    V = (I, lam I, conj(lam) I) (Scherer & Hol, 2006).
+    V = (I, lam I, conj(lam) I) (Scherer & Hol, 2006).  No product of two
+    entries of V is lam^2, so S's block between lam I and conj(lam) I is 0:
+    S has a chordal pattern with the cliques (1, lam) and (1, conj(lam)),
+    and a PSD matrix with that pattern is exactly a sum of PSD matrices on
+    its cliques (Agler, Helton, McCullough & Rodman, 1988).  So the rows
+    take V* S V = V_1* A V_1 + V_2* B V_2 with A, B PSD of size 2n,
+    V_1 = (I, lam I) and V_2 = (I, conj(lam) I): the same W, and no row
+    for the zero block.
 
-    Blocks W (n), S (3n) and T (n).  Each P_pq is a Hadamard product of W
-    with a fixed n x n coefficient, so every row is an entry of one of five
-    equations over n x n grids (``_Rows``): the sum trace W = n, the
-    Hermitian S_00 + T = P_00 and S_11 + S_22 - T = P_11, and the full
-    S_01 + S_20 = P_10 and S_21 = 0; the lam-bar coefficients are their
-    adjoints.  Returns (rows, b) in ``_sdp``'s form.
+    Blocks W (n), A (2n), B (2n) and T (n).  Each P_pq is a Hadamard
+    product of W with a fixed n x n coefficient, so every row is an entry
+    of one of four equations over n x n grids (``_Rows``): the sum
+    trace W = n, the Hermitian A_00 + B_00 + T = P_00 and
+    A_11 + B_11 - T = P_11, and the full A_01 + B_10 = P_10; the lam-bar
+    coefficients are their adjoints.  That is 4 n^2 + 1 rows.  Returns
+    (rows, b, block sizes) in ``_sdp``'s form.
     """
     n = len(x)
     cx, rx = np.conj(x)[:, None], x[None, :]
@@ -934,15 +951,15 @@ def _sos_rows(x):
     p11 = cx * rx - cx ** 2 * rx ** 2
     rows = [
         ("sum", n, [(0, 0, 0, np.eye(n))]),
-        ("hermitian", n, [(1, 0, 0, 1.0), (2, 0, 0, 1.0), (0, 0, 0, -p00)]),
-        ("hermitian", n, [(1, n, n, 1.0), (1, 2 * n, 2 * n, 1.0),
-                          (2, 0, 0, -1.0), (0, 0, 0, -p11)]),
-        ("full", n, [(1, 0, n, 1.0), (1, 2 * n, 0, 1.0), (0, 0, 0, -p10)]),
-        ("full", n, [(1, 2 * n, n, 1.0)]),
+        ("hermitian", n, [(1, 0, 0, 1.0), (2, 0, 0, 1.0), (3, 0, 0, 1.0),
+                          (0, 0, 0, -p00)]),
+        ("hermitian", n, [(1, n, n, 1.0), (2, n, n, 1.0), (3, 0, 0, -1.0),
+                          (0, 0, 0, -p11)]),
+        ("full", n, [(1, 0, n, 1.0), (2, n, 0, 1.0), (0, 0, 0, -p10)]),
     ]
-    b = np.zeros(6 * n * n + 1)
+    b = np.zeros(4 * n * n + 1)
     b[0] = n
-    return rows, b
+    return rows, b, [n, 2 * n, 2 * n, n]
 
 
 def dual_search(problem: ConeProblem) -> DualCertificate | None:
@@ -950,23 +967,27 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     An unrestricted problem makes one interior-point solve (``_sdp``) of
     the level-1 SOS program (``_sos_rows``): minimize Re trace(W K) over
-    PSD W of trace n with P_W(lam) = V* S V + (1 - |lam|^2) T for PSD S and
-    T, so that, up to the solve's accuracy, W has no negative margin on the
-    closed disk.  A restricted
+    PSD W of trace n with
+    P_W(lam) = V_1* A V_1 + V_2* B V_2 + (1 - |lam|^2) T for PSD A, B and
+    T on the clique pair V_1 = (I, lam I), V_2 = (I, conj(lam) I), so that,
+    up to the solve's accuracy, W has no negative margin on the closed
+    disk.  The block sizes come from ``_sos_rows``.  A restricted
     problem runs ADMM over its whole restriction instead (see
     ``_admm_min_violation``), which approximately minimizes trace(W K) over
     the restriction's dual cone and stops once its floor L shows that the
     polish gate below would skip the polish for its own feasible iterate,
     or else at its stall rule.
 
-    Either minimizer is made exactly PSD, renormalized, and mixed slightly
-    toward the identity, whose margin is uniformly large, until every
-    margin over ``problem.audit_grid`` clears MARGIN_FLOOR.  On a
-    restricted problem one anytime Dykstra polish (see ``_dual_polish``),
-    aimed at max(2 v0, L) for the mixed violation v0 and the ADMM floor L,
-    then re-tightens the violation, and the polished W is re-audited and
-    re-mixed.  Each candidate is offered to ``DualCertificate``, the one
-    certificate gate, and the lower-violation one it accepts is returned.
+    Either minimizer is made exactly PSD, renormalized, audited once over
+    ``problem.audit_grid`` and mixed slightly toward the identity, whose
+    margin is uniformly large, until concavity proves every margin there
+    clears MARGIN_FLOOR (``_mixed_with_identity``); the mix is not audited
+    again.  On a restricted problem one anytime Dykstra polish (see
+    ``_dual_polish``), aimed at max(2 v0, L) for the mixed violation v0 and
+    the ADMM floor L, then re-tightens the violation, and the polished W is
+    audited and mixed the same way.  Each candidate is offered, with its
+    proven margin, to ``DualCertificate``, the one certificate gate, and
+    the lower-violation one it accepts is returned.
     Returns None when it accepts none; that outcome never claims
     membership.
 
@@ -988,8 +1009,8 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     restriction = problem.generator_restriction
     if restriction is None:
-        rows, b = _sos_rows(np.repeat(samples.array(), d))
-        costs = [sigma_hat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
+        rows, b, sizes = _sos_rows(np.repeat(samples.array(), d))
+        costs = [sigma_hat] + [np.zeros((s, s)) for s in sizes[1:]]
         w = _sdp(costs, rows, b)[0][0]
     else:
         conj_coefs = np.conj(_generator_data(restriction, samples, d)[1])
@@ -999,11 +1020,11 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
         return None
 
     audit = functools.partial(_audit_margins, problem=problem)
-    w, audit_vals, viol = _mixed_with_identity(w, sigma_hat, audit,
-                                               MARGIN_FLOOR)
+    w, margin, viol = _mixed_with_identity(w, sigma_hat, audit,
+                                           MARGIN_FLOOR)
     if not viol <= -MIN_VIOLATION:
         return None
-    candidates = [(w, audit_vals, viol)]
+    candidates = [(w, margin, viol)]
 
     # One anytime polish, aimed at twice the mixed violation but never
     # below the floor; it runs only if a POLISH_GAIN gain is reachable.
@@ -1016,10 +1037,10 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     # Lowest violation first; a stable sort keeps the mixed minimizer
     # ahead on a tie.
-    for w_c, vals, viol_c in sorted(candidates, key=lambda c: c[2]):
+    for w_c, margin_c, viol_c in sorted(candidates, key=lambda c: c[2]):
         try:
-            return DualCertificate(w_c, float(np.min(vals)), viol_c,
-                                   len(vals))
+            return DualCertificate(w_c, margin_c, viol_c,
+                                   len(problem.audit_grid))
         except ValueError:
             continue
     return None

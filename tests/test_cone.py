@@ -544,9 +544,11 @@ def row_matrices(rows, sizes):
 
 def test_sos_rows_encode_the_identity():
     # For a random Hermitian W of trace n, C* (W - D* W D) C =
-    # sum lam^p conj(lam)^q P_pq at three values of lam, and a random split
-    # of the P_pq into S and T that reproduces P_W meets the rows of
-    # ``_sos_rows``.
+    # sum lam^p conj(lam)^q P_pq at three values of lam.  A random split of
+    # the P_pq into S and T that reproduces P_W with V = (I, lam I,
+    # conj(lam) I) has S's (lam, conj(lam)) block 0, so S splits into A on
+    # the clique (1, lam) and B on (1, conj(lam)); that pair reproduces P_W
+    # too and meets the rows of ``_sos_rows``.
     rng = np.random.default_rng(3)
     x = np.repeat(random_disk_points(rng, 3, rmax=0.7, min_sep=0.15), 2)
     n = len(x)
@@ -582,14 +584,37 @@ def test_sos_rows_encode_the_identity():
         v = np.vstack([np.eye(n), lam * np.eye(n), np.conj(lam) * np.eye(n)])
         sos = v.conj().T @ s @ v + (1.0 - abs(lam) ** 2) * t
         assert np.max(np.abs(lhs - sos)) < 1e-12
+    # The clique pair: A's and B's corner blocks split S_00 at random.
+    h = hermitian()
+    one, bar = np.r_[:n, n:2 * n], np.r_[:n, 2 * n:3 * n]
+    a, bb = s[np.ix_(one, one)], s[np.ix_(bar, bar)]
+    a[:n, :n] = h
+    bb[:n, :n] -= h
+    for lam in (0.3 - 0.2j, -0.7j, 0.95):
+        c = np.eye(n) - np.conj(lam) * xm
+        d = np.diag(kernels.test_fn(lam, x))
+        lhs = c.conj().T @ (w - d.conj().T @ w @ d) @ c
+        v1 = np.vstack([np.eye(n), lam * np.eye(n)])
+        v2 = np.vstack([np.eye(n), np.conj(lam) * np.eye(n)])
+        sos = (v1.conj().T @ a @ v1 + v2.conj().T @ bb @ v2
+               + (1.0 - abs(lam) ** 2) * t)
+        assert np.max(np.abs(lhs - sos)) < 1e-12
 
-    rows, b = cone._sos_rows(x)
-    assert len(b) == 6 * n * n + 1
-    assert np.max(np.abs(row_residuals(rows, b, [w, s, t]))) < 1e-12
-    # A lam^2 term, or a W off trace n, breaks a row.
-    s[2 * n:, n:2 * n] = s[n:2 * n, 2 * n:] = 1e-3
-    assert np.max(np.abs(row_residuals(rows, b, [w, s, t]))) >= 1e-3
-    assert np.max(np.abs(row_residuals(rows, b, [2 * w, 0 * s, 0 * t]))) > 1.0
+    rows, b, sizes = cone._sos_rows(x)
+    assert len(b) == 4 * n * n + 1
+    assert sizes == [n, 2 * n, 2 * n, n]
+    assert np.max(np.abs(row_residuals(rows, b, [w, a, bb, t]))) < 1e-12
+    # A changed lam coefficient, or a W off trace n, breaks a row.
+    a[:n, n:] += 1e-3
+    a[n:, :n] += 1e-3
+    assert np.max(np.abs(row_residuals(rows, b, [w, a, bb, t]))) >= 1e-3
+    assert np.max(np.abs(row_residuals(
+        rows, b, [2 * w, 0 * a, 0 * bb, 0 * t]))) > 1.0
+
+
+def sos_costs(k, sizes):
+    """``_sdp`` costs for the SOS rows: the kernel on W, zero elsewhere."""
+    return [k] + [np.zeros((s, s)) for s in sizes[1:]]
 
 
 def trace_rows(n: int):
@@ -603,8 +628,7 @@ def test_schur_matches_dense_reference(n):
     # A_ik, for the SOS rows and random positive definite blocks.
     rng = np.random.default_rng(40 + n)
     x = np.array(random_disk_points(rng, n, rmax=0.8, min_sep=0.1))
-    rows, b = cone._sos_rows(x)
-    sizes = [n, 3 * n, n]
+    rows, b, sizes = cone._sos_rows(x)
     xs = [random_psd(rng, s) + 0.1 * np.eye(s) for s in sizes]
     zis = [np.linalg.inv(random_psd(rng, s) + 0.1 * np.eye(s)) for s in sizes]
     zis = [0.5 * (z + z.conj().T) for z in zis]
@@ -654,33 +678,78 @@ def test_sos_optimum_is_sound_on_members():
     mb = MatrixBlaschke(0.5, -0.5, np.eye(2, dtype=complex))
     target = kernels.sigma_kernel(kernels.f_eval(mb, samples.array()),
                                   samples)
-    n = 2 * len(samples)
-    rows, b = cone._sos_rows(np.repeat(samples.array(), 2))
-    costs = [target.flat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
-    xs, _, stop = cone._sdp(costs, rows, b)
+    rows, b, sizes = cone._sos_rows(np.repeat(samples.array(), 2))
+    xs, _, stop = cone._sdp(sos_costs(target.flat, sizes), rows, b)
     assert stop in ("converged", "cholesky")
     assert np.max(np.abs(row_residuals(rows, b, xs))) < 1e-6
     assert float(np.real(np.trace(xs[0] @ target.flat))) >= -cone.MIN_VIOLATION
     assert dual_search(ConeProblem(samples, 2, default_grid(), target)) is None
 
 
-def test_sdp_meets_the_rows_on_the_flagship():
-    # Whatever the stop, the last iterate of the three-point flagship's SOS
-    # solve meets every row within 1e-9 (1 + |b|), and its duality gap
-    # pobj - b.y is below 1e-6 relative.
-    samples = SampleSet((0.0, 0.5, -0.5))
+def flagship_target(points) -> MatrixKernel:
+    """The flagship kernel (lambda = +-1/2, the default unitary) on the
+    sample points."""
+    samples = SampleSet(tuple(points))
     mb = MatrixBlaschke(0.5, -0.5, DEFAULT_UNITARY)
-    target = kernels.sigma_kernel(kernels.f_eval(mb, samples.array()),
-                                  samples)
-    n = 2 * len(samples)
-    rows, b = cone._sos_rows(np.repeat(samples.array(), 2))
-    costs = [target.flat, np.zeros((3 * n, 3 * n)), np.zeros((n, n))]
-    xs, y, _ = cone._sdp(costs, rows, b)
-    scale = 1.0 + float(np.linalg.norm(b))
-    assert np.max(np.abs(row_residuals(rows, b, xs))) <= 1e-9 * scale
-    pobj = float(np.real(np.trace(xs[0] @ target.flat)))
-    dobj = float(b @ y)
-    assert abs(pobj - dobj) <= 1e-6 * (1.0 + abs(pobj) + abs(dobj))
+    return kernels.sigma_kernel(kernels.f_eval(mb, samples.array()), samples)
+
+
+def test_sdp_meets_the_rows_on_the_flagship():
+    # Whatever the stop, the last iterate of the flagship's SOS solve meets
+    # every row within 1e-9 (1 + |b|) at three points and 1e-8 (1 + |b|) at
+    # the six default ones, and its duality gap pobj - b.y is below 1e-6
+    # relative.
+    for points, bound in (((0.0, 0.5, -0.5), 1e-9),
+                          (DEFAULT_SAMPLES.points, 1e-8)):
+        target = flagship_target(points)
+        rows, b, sizes = cone._sos_rows(np.repeat(np.array(points), 2))
+        xs, y, _ = cone._sdp(sos_costs(target.flat, sizes), rows, b)
+        scale = 1.0 + float(np.linalg.norm(b))
+        assert np.max(np.abs(row_residuals(rows, b, xs))) <= bound * scale
+        pobj = float(np.real(np.trace(xs[0] @ target.flat)))
+        dobj = float(b @ y)
+        assert abs(pobj - dobj) <= 1e-6 * (1.0 + abs(pobj) + abs(dobj))
+
+
+def full_s_rows(x):
+    """The level-1 SOS rows with one PSD block S of size 3n on
+    V = (I, lam I, conj(lam) I), its (lam, conj(lam)) block held at 0 by a
+    full equation of its own: 6 n^2 + 1 rows over the blocks W, S and T."""
+    n = len(x)
+    cx, rx = np.conj(x)[:, None], x[None, :]
+    p00 = 1.0 - cx ** 3 * rx ** 3
+    p10 = -cx + cx ** 3 * rx ** 2
+    p11 = cx * rx - cx ** 2 * rx ** 2
+    rows = [
+        ("sum", n, [(0, 0, 0, np.eye(n))]),
+        ("hermitian", n, [(1, 0, 0, 1.0), (2, 0, 0, 1.0), (0, 0, 0, -p00)]),
+        ("hermitian", n, [(1, n, n, 1.0), (1, 2 * n, 2 * n, 1.0),
+                          (2, 0, 0, -1.0), (0, 0, 0, -p11)]),
+        ("full", n, [(1, 0, n, 1.0), (1, 2 * n, 0, 1.0), (0, 0, 0, -p10)]),
+        ("full", n, [(1, 2 * n, n, 1.0)]),
+    ]
+    b = np.zeros(6 * n * n + 1)
+    b[0] = n
+    return rows, b, [n, 3 * n, n]
+
+
+def test_chordal_split_keeps_the_optimum():
+    # A PSD S with a zero (lam, conj(lam)) block is exactly a sum of PSD
+    # blocks on its two cliques, so the clique pair of ``_sos_rows`` and
+    # the single 3n block reach the same optimum b.y: on the three-point
+    # flagship and on a block-dimension-1 draw.
+    problem, _ = perturbed_problem(11)
+    cases = [(np.repeat([0.0, 0.5, -0.5], 2),
+              flagship_target((0.0, 0.5, -0.5)).flat),
+             (problem.sample_set.array(), problem.target.flat)]
+    for x, k in cases:
+        optima = []
+        for rows, b, sizes in (cone._sos_rows(x), full_s_rows(x)):
+            y = cone._sdp(sos_costs(k, sizes), rows, b)[1]
+            optima.append(float(b @ y))
+        chordal, full = optima
+        assert full < -cone.MIN_VIOLATION
+        assert abs(chordal - full) <= 1e-5 * abs(full)
 
 
 def test_dual_zero_target_yields_none():
@@ -843,6 +912,8 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     # The 8,195-generator audit grid spans many blocks: no eigenvalue batch
     # of the search, the audit or the norm sweep may hold more than one,
     # and the blocked results equal one full-stack evaluation bit for bit.
+    # The search audits once: its mix toward I is proved by concavity, so
+    # the certificate's margin is the floor, not a second audit's minimum.
     problem, _ = perturbed_problem(11)
     pts = problem.audit_grid
     assert len(pts) > 2 * linalg.GRID_BLOCK
@@ -856,6 +927,7 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(linalg, "herm_eigvals_batch", recorder)
         cert = dual_search(problem)
+        search = [size for size in sizes if size > 1]
         report = validate_certificate(cert, problem)
         space = gns.build_gns(cert.w, problem.sample_set)
         values = kernels.test_fn(pts[:, None], problem.sample_set.array())
@@ -865,7 +937,10 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     full = margins(cert.w, _generator_data(pts, problem.sample_set,
                                            problem.block_dim)[1])
     assert np.array_equal(cone._audit_margins(cert.w, problem)[0], full)
-    assert cert.grid_margin == float(np.min(full))
+    assert cert.grid_margin == cone.MARGIN_FLOOR <= float(np.min(full))
+    blocks = [len(pts[i:i + linalg.GRID_BLOCK])
+              for i in range(0, len(pts), linalg.GRID_BLOCK)]
+    assert len(blocks) == 17 and search == blocks
     assert cert.validation_grid_size == len(pts)
     rect = full[-64 * 128:].reshape(64, 128)
     modulus = max(np.abs(np.diff(rect, axis=0)).max(),

@@ -1,6 +1,7 @@
 """Property tests: certificate decoding, the variety subcommand and its
 whole-circle verdict, invalid and type-valid configs for every subcommand,
-one-atom cone members and the primal separation exit on random input.
+one-atom cone members, the primal separation exit and the margin that
+identity mixing proves, on random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from neilcone import cli, cone, dilation
 from neilcone.kernels import MatrixKernel, SampleSet
-from conftest import random_psd
+from conftest import random_disk_points, random_psd
 
 FIXED = settings(derandomize=True, database=None, max_examples=50,
                  deadline=None)
@@ -388,3 +389,29 @@ def test_separating_functional_rechecks(block_dim, rank, seed):
     for g in ATOM_RESTRICTION:
         pairing = w * np.conj(hadamard_coefs(g, block_dim))
         assert np.linalg.eigvalsh(pairing)[0] >= 0.0
+
+
+@FIXED
+@given(size=st.integers(2, 4), with_infinity=st.booleans(),
+       block_dim=st.sampled_from([1, 2]), rank=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_mixing_margin_is_proven(size, with_infinity, block_dim, rank, seed):
+    # The margin ``_mixed_with_identity`` reports for the W it returns never
+    # exceeds that W's exact least margin over the restriction, and after a
+    # mix it is the floor itself.
+    rng = np.random.default_rng(seed)
+    n = len(ATOM_SAMPLES) * block_dim
+    restriction = ([np.inf] if with_infinity else []) + random_disk_points(
+        rng, size - with_infinity, rmax=0.95, min_sep=0.05)
+    coefs = cone._generator_data(restriction, SampleSet(ATOM_SAMPLES),
+                                 block_dim)[1]
+    w = random_psd(rng, n, rank=min(rank, n))
+    w *= n / np.real(np.trace(w))
+    k = -random_psd(rng, n)
+    mixed, margin, viol = cone._mixed_with_identity(
+        w, k, cone._stack_audit(coefs), cone.MARGIN_FLOOR)
+    exact = min(np.linalg.eigvalsh(mixed * np.conj(a))[0] for a in coefs)
+    assert margin <= exact + 1e-12 * max(1.0, np.abs(mixed).max())
+    if mixed is not w:
+        assert margin == cone.MARGIN_FLOOR
+    assert viol == np.real(np.sum(mixed * np.conj(k)))
