@@ -194,9 +194,11 @@ class DiscreteMeasure:
 class DualCertificate:
     """A separating functional, stored with its audit numbers.
 
-    ``grid_margin`` is a proven lower bound on every min-eigenvalue of
-    W - D* W D over the problem's audit grid, of ``validation_grid_size``
-    generators (see ``_mixed_with_identity``); ``violation`` is trace(W K).
+    ``grid_margin`` is a proven lower bound, up to rounding, on every
+    min-eigenvalue of W - D* W D over the problem's audit grid, of
+    ``validation_grid_size`` generators (see ``_mixed_with_identity``);
+    for an unrestricted problem it holds on the whole closed disk and at
+    infinity (``_sos_margin_bound``).  ``violation`` is trace(W K).
     W is normalized to trace n and must itself stay PSD up to slack, since
     squares lie in the cone.  Every gate is written so that NaN fails it.
     """
@@ -654,19 +656,23 @@ def _admm_min_violation(sigma_hat, conj_coefs, n):
 def _mixed_with_identity(w, sigma_hat, audit, floor: float):
     """Blend W toward I until audit margins clear ``floor`` uniformly.
 
-    ``audit(W)`` returns W's margins over the audit set and the identity's
-    margin there (``_stack_audit``, ``_audit_margins``); it runs once, on W.
-    Margins are concave under mixing: margin((1-t)W + tI) >=
-    (1-t) margin(W) + t margin(I), and margin(I), the least diagonal entry
-    of the A_g (at least 1 - max|x|^4), is large, so a small t buys
-    a uniform floor at a proportional violation cost.  At the t chosen here
-    that bound is ``floor`` on every audit generator, so the mix is not
-    audited again.
+    ``audit(W)`` returns lower bounds on W's margins over the audit set and
+    on the identity's margin there; it runs once, on W.  Those are the
+    exact margins over a restriction (``_stack_audit``, ``_audit_margins``),
+    or, for an unrestricted search, the SOS residual bound and 1 - r^4,
+    which hold on the whole closed disk and at infinity
+    (``_sos_margin_bound``).  Margins are concave under mixing:
+    margin((1-t)W + tI) >= (1-t) margin(W) + t margin(I), and margin(I),
+    the least diagonal entry of the A_g (at least 1 - max|x|^4), is large,
+    so a small t buys a uniform floor at a proportional violation cost.
+    At the t chosen here that bound is ``floor`` on every audit generator,
+    so the mix is not audited again.
     Returns (w_mixed, margin, violation), where margin is a proven lower
-    bound on every audit margin of w_mixed: W's least margin when no mix
-    is needed (or none raises the bound, margin(I) <= margin(W)), ``floor``
-    itself after a mix with t < 1 (not the rounded bound, which may land an
-    ulp below it), and margin(I) at t = 1.
+    bound on every audit margin of w_mixed: W's least margin (or its
+    bound) when no mix is needed (or none raises the bound,
+    margin(I) <= margin(W)), ``floor`` itself after a mix with t < 1 (not
+    the rounded bound, which may land an ulp below it), and margin(I) at
+    t = 1.
     """
     vals, margin_identity = audit(w)
     worst = float(np.min(vals))
@@ -743,12 +749,16 @@ class _Rows:
                 if shared:
                     self.pairs.append((e, f, shared))
 
+    def grids(self, xs):
+        """Each equation's summed grid E read on the blocks xs."""
+        return [sum(coef * xs[k][ro:ro + size, co:co + size]
+                    for k, ro, co, coef in terms)
+                for _, size, terms, _ in self.eqs]
+
     def apply(self, xs):
         """The rows read on the blocks xs."""
         out = np.empty(self.m)
-        for start, size, terms, sel in self.eqs:
-            e = sum(coef * xs[k][ro:ro + size, co:co + size]
-                    for k, ro, co, coef in terms)
+        for (start, _, _, sel), e in zip(self.eqs, self.grids(xs)):
             if sel is None:
                 out[start] = np.real(np.sum(e))
             else:
@@ -962,6 +972,37 @@ def _sos_rows(x):
     return rows, b, [n, 2 * n, 2 * n, n]
 
 
+def _sos_margin_bound(xs, rows, x):
+    """A lower bound on every margin of ``_trace_normalized_psd(W)``, on
+    the closed disk and at infinity, read off the level-1 SOS blocks
+    xs = (W, A, B, T) of ``_sos_rows(x)``.
+
+    Let E_00, E_11 and E_10 be the residual grids of the three Hadamard
+    equations, so that P_W(lam) = V_1* A V_1 + V_2* B V_2
+    + (1 - |lam|^2) T - E(lam) with
+    E(lam) = E_00 + lam E_10 + conj(lam) E_10* + |lam|^2 E_11.  For
+    |lam| <= 1, |V_1|^2, |V_2|^2 <= 2, so with neg(X) = max(0, -min_eig X),
+    P_W(lam) >= -rho I for
+    rho = |E_00| + |E_11| + 2 |E_10| + 2 neg(A) + 2 neg(B) + neg(T).
+    The margin at lam is the least eigenvalue of C_lam^-* P_W(lam)
+    C_lam^-1, and sigma_min(C_lam) >= 1 - r for r = max |x_i|, so every
+    margin on the closed disk, and at infinity, which is |lam| = 1 up to
+    phase, is at least -rho / (1 - r)^2.  The PSD projection adds W's
+    negative part N >= 0, which moves a margin by N - D* N D >= -r^4 neg(W)
+    since every generator value has modulus at most r^2; the scaling to
+    trace n multiplies the bound by c = n / tr, tr the projection's trace.
+    Rounding is not bounded.
+    """
+    r = float(np.max(np.abs(x)))
+    eigs = [linalg.herm_eigvals_batch(blk[None])[0] for blk in xs]
+    neg_w, neg_a, neg_b, neg_t = (max(0.0, -float(e[0])) for e in eigs)
+    e00, e11, e10 = _Rows(rows, [len(blk) for blk in xs]).grids(xs)[1:]
+    rho = (linalg.op_norm(e00) + linalg.op_norm(e11)
+           + 2.0 * linalg.op_norm(e10) + 2.0 * (neg_a + neg_b) + neg_t)
+    scale = len(x) / float(np.sum(np.maximum(eigs[0], 0.0)))
+    return scale * (-rho / (1.0 - r) ** 2 - r ** 4 * neg_w)
+
+
 def dual_search(problem: ConeProblem) -> DualCertificate | None:
     """Look for a separating functional for the target.
 
@@ -971,21 +1012,25 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
     P_W(lam) = V_1* A V_1 + V_2* B V_2 + (1 - |lam|^2) T for PSD A, B and
     T on the clique pair V_1 = (I, lam I), V_2 = (I, conj(lam) I), so that,
     up to the solve's accuracy, W has no negative margin on the closed
-    disk.  The block sizes come from ``_sos_rows``.  A restricted
+    disk.  The block sizes come from ``_sos_rows``.  That accuracy is
+    bounded from the solve's own blocks (``_sos_margin_bound``), which
+    bounds every margin on the closed disk and at infinity, so the search
+    walks no audit grid.  A restricted
     problem runs ADMM over its whole restriction instead (see
     ``_admm_min_violation``), which approximately minimizes trace(W K) over
     the restriction's dual cone and stops once its floor L shows that the
     polish gate below would skip the polish for its own feasible iterate,
     or else at its stall rule.
 
-    Either minimizer is made exactly PSD, renormalized, audited once over
-    ``problem.audit_grid`` and mixed slightly toward the identity, whose
-    margin is uniformly large, until concavity proves every margin there
-    clears MARGIN_FLOOR (``_mixed_with_identity``); the mix is not audited
-    again.  On a restricted problem one anytime Dykstra polish (see
-    ``_dual_polish``), aimed at max(2 v0, L) for the mixed violation v0 and
-    the ADMM floor L, then re-tightens the violation, and the polished W is
-    audited and mixed the same way.  Each candidate is offered, with its
+    Either minimizer is made exactly PSD, renormalized and mixed slightly
+    toward the identity, whose margin is uniformly large, until concavity
+    proves every margin clears MARGIN_FLOOR (``_mixed_with_identity``):
+    from the SOS bound on the closed disk and at infinity, or from one
+    exact audit over the restriction; the mix is not audited again.  On a
+    restricted problem one anytime Dykstra polish (see ``_dual_polish``),
+    aimed at max(2 v0, L) for the mixed violation v0 and the ADMM floor L,
+    then re-tightens the violation, and the polished W is audited and
+    mixed the same way.  Each candidate is offered, with its
     proven margin, to ``DualCertificate``, the one certificate gate, and
     the lower-violation one it accepts is returned.
     Returns None when it accepts none; that outcome never claims
@@ -1009,17 +1054,25 @@ def dual_search(problem: ConeProblem) -> DualCertificate | None:
 
     restriction = problem.generator_restriction
     if restriction is None:
-        rows, b, sizes = _sos_rows(np.repeat(samples.array(), d))
+        x = np.repeat(samples.array(), d)
+        rows, b, sizes = _sos_rows(x)
         costs = [sigma_hat] + [np.zeros((s, s)) for s in sizes[1:]]
-        w = _sdp(costs, rows, b)[0][0]
+        xs = _sdp(costs, rows, b)[0]
+        w = xs[0]
+        # The identity's least margin, 1 - r^4, is its margin at infinity,
+        # which every unrestricted audit grid holds.
+        r4 = float(np.max(np.abs(x))) ** 4
+
+        def audit(_):
+            return _sos_margin_bound(xs, rows, x), 1.0 - r4
     else:
         conj_coefs = np.conj(_generator_data(restriction, samples, d)[1])
         w, floor = _admm_min_violation(sigma_hat, conj_coefs, n)
+        audit = functools.partial(_audit_margins, problem=problem)
     w = _trace_normalized_psd(w, n)
     if w is None:
         return None
 
-    audit = functools.partial(_audit_margins, problem=problem)
     w, margin, viol = _mixed_with_identity(w, sigma_hat, audit,
                                            MARGIN_FLOOR)
     if not viol <= -MIN_VIOLATION:

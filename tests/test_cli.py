@@ -679,6 +679,28 @@ def test_counterexample_does_not_depend_on_admm_beta(tmp_path, monkeypatch):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("cap, certified", [(1, False), (3, False),
+                                             (6, False), (9, True),
+                                             (12, True)])
+def test_truncated_sos_solve_stays_honest(tmp_path, monkeypatch, cap,
+                                          certified):
+    # A solve cut off after a few iterations leaves residuals that its own
+    # margin bound charges, so the mix toward I costs more than the
+    # violation it bought: no separating functional.  From nine iterations
+    # the bound is small, and the emitted bytes pass their re-audit.
+    monkeypatch.setattr(cone, "SDP_ITERS", cap)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": SMALL_COUNTEREXAMPLE["samples"]}))
+    code, data = run_cli(tmp_path, "counterexample", "--config", str(cfg))
+    if not certified:
+        assert (code, data["status"], data["reason"]) == (
+            3, "inconclusive", "no separating functional found")
+        return
+    assert (code, data["status"]) == (0, "certified")
+    assert data["checks"]["margin_ok"] is True
+    assert data["validation"]["worst_margin"] >= -data["certificate"]["eps"]
+
+
 def test_counterexample_gates_read_the_certificate(tmp_path, monkeypatch):
     # A re-audited margin of -5e-7 misses the certificate's eps (1e-8), and
     # a test norm of 1 + 5e-7 misses the pair slack gns.PAIR_TOL (1e-8);

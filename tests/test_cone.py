@@ -752,6 +752,46 @@ def test_chordal_split_keeps_the_optimum():
         assert abs(chordal - full) <= 1e-5 * abs(full)
 
 
+def dense_disk_scan(w, samples, block_dim):
+    """W's least margin at infinity and on 300 radii out to 1 - 1e-7, 720
+    angles each, in grid blocks."""
+    pts = cone._polar_grid((1.0 - 1e-7) * np.arange(1, 301) / 300, 720)
+    step = linalg.GRID_BLOCK
+    return min(float(np.min(margins(w, _generator_data(
+        pts[i:i + step], samples, block_dim)[1])))
+        for i in range(0, len(pts), step))
+
+
+def test_sos_margin_bound_is_sound():
+    # The residual bound never exceeds the exact least margin of the W it
+    # speaks for, on the audit grid and on a dense scan of the closed disk:
+    # the three- and six-point flagship and a block-dimension-1 draw.
+    problem, _ = perturbed_problem(11)
+    cases = [(flagship_target((0.0, 0.5, -0.5)), 2),
+             (flagship_target(DEFAULT_SAMPLES.points), 2),
+             (problem.target, 1)]
+    for target, d in cases:
+        samples = target.sample_set
+        x = np.repeat(samples.array(), d)
+        rows, b, sizes = cone._sos_rows(x)
+        xs = cone._sdp(sos_costs(target.flat, sizes), rows, b)[0]
+        bound = cone._sos_margin_bound(xs, rows, x)
+        w = cone._trace_normalized_psd(xs[0], len(x))
+        audited = ConeProblem(samples, d, default_grid(), target)
+        assert bound <= float(np.min(cone._audit_margins(w, audited)[0]))
+        assert bound <= dense_disk_scan(w, samples, d)
+    # T made indefinite by eps: the bound drops by at least
+    # eps / (1 - r)^2, whatever the residual grids do.
+    eps = 1e-3
+    r = float(np.max(np.abs(x)))
+    t = xs[3]
+    low = float(np.linalg.eigvalsh(t)[0])
+    broken = xs[:3] + [t - (low + eps) * np.eye(len(t))]
+    assert np.linalg.eigvalsh(broken[3])[0] == pytest.approx(-eps)
+    dropped = cone._sos_margin_bound(broken, rows, x)
+    assert dropped <= bound - eps / (1.0 - r) ** 2
+
+
 def test_dual_zero_target_yields_none():
     samples = SampleSet((0.3, -0.4))
     target = MatrixKernel(samples, 1, np.zeros((2, 2), dtype=complex))
@@ -908,12 +948,26 @@ def test_validate_certificate_covers_the_audit_grid(perturbed_cert):
     assert report.worst_point == complex(pts[int(np.argmin(vals))])
 
 
+def recording_audits(monkeypatch):
+    """Wrap the grid audit so a test can read the margins of each call."""
+    calls = []
+    audit = cone._audit_margins
+
+    def recording(w, problem):
+        calls.append(audit(w, problem))
+        return calls[-1]
+
+    monkeypatch.setattr(cone, "_audit_margins", recording)
+    return calls
+
+
 def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     # The 8,195-generator audit grid spans many blocks: no eigenvalue batch
-    # of the search, the audit or the norm sweep may hold more than one,
-    # and the blocked results equal one full-stack evaluation bit for bit.
-    # The search audits once: its mix toward I is proved by concavity, so
-    # the certificate's margin is the floor, not a second audit's minimum.
+    # of the audit or the norm sweep may hold more than one, and the
+    # blocked results equal one full-stack evaluation bit for bit.
+    # The search makes no grid-block batch at all: its mix toward I reads
+    # the SOS solve's residual bound (``_sos_margin_bound``), and the mix
+    # is proved by concavity, so the certificate's margin is the floor.
     problem, _ = perturbed_problem(11)
     pts = problem.audit_grid
     assert len(pts) > 2 * linalg.GRID_BLOCK
@@ -925,14 +979,19 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
         return eigvals(h)
 
     with monkeypatch.context() as m:
+        audits = recording_audits(m)
         m.setattr(linalg, "herm_eigvals_batch", recorder)
         cert = dual_search(problem)
         search = [size for size in sizes if size > 1]
+        assert audits == []
+        mark = len(sizes)
         report = validate_certificate(cert, problem)
+        reaudit = sizes[mark:]
         space = gns.build_gns(cert.w, problem.sample_set)
         values = kernels.test_fn(pts[:, None], problem.sample_set.array())
         norms = gns.rep_norm_sweep(space, values)
     assert sizes and max(sizes) <= linalg.GRID_BLOCK
+    assert search == []
 
     full = margins(cert.w, _generator_data(pts, problem.sample_set,
                                            problem.block_dim)[1])
@@ -940,7 +999,7 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     assert cert.grid_margin == cone.MARGIN_FLOOR <= float(np.min(full))
     blocks = [len(pts[i:i + linalg.GRID_BLOCK])
               for i in range(0, len(pts), linalg.GRID_BLOCK)]
-    assert len(blocks) == 17 and search == blocks
+    assert len(blocks) == 17 and reaudit == blocks
     assert cert.validation_grid_size == len(pts)
     rect = full[-64 * 128:].reshape(64, 128)
     modulus = max(np.abs(np.diff(rect, axis=0)).max(),
@@ -951,6 +1010,21 @@ def test_audit_and_norm_sweep_run_in_grid_blocks(monkeypatch):
     assert report.grid_size == len(pts)
     reference = linalg.op_norm_batch(gns._mult_matrices(space, values)[0])
     assert np.array_equal(norms, reference)
+
+
+def test_restricted_search_audits_its_restriction_once(monkeypatch):
+    # A restricted problem has no SOS proof: the search audits its
+    # restriction once, exactly, and the polish is skipped for K = -I.
+    problem = restricted_infeasible_problem()
+    audits = recording_audits(monkeypatch)
+    cert = dual_search(problem)
+    assert cert is not None and len(audits) == 1
+    vals, identity = audits[0]
+    coefs = _generator_data(problem.effective_grid, problem.sample_set,
+                            problem.block_dim)[1]
+    assert len(vals) == len(problem.effective_grid)
+    assert identity == cone._identity_margin(coefs)
+    assert cert.grid_margin <= float(np.min(margins(cert.w, coefs)))
 
 
 # ---------------------------------------------------------------------------

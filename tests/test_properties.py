@@ -1,7 +1,8 @@
 """Property tests: certificate decoding, the variety subcommand and its
 whole-circle verdict, invalid and type-valid configs for every subcommand,
-one-atom cone members, the primal separation exit and the margin that
-identity mixing proves, on random input.
+one-atom cone members, the primal separation exit, the margin that
+identity mixing proves and the SOS margin bound on the paper's family, on
+random input.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neilcone import cli, cone, dilation
@@ -415,3 +416,57 @@ def test_mixing_margin_is_proven(size, with_infinity, block_dim, rank, seed):
     if mixed is not w:
         assert margin == cone.MARGIN_FLOOR
     assert viol == np.real(np.sum(mixed * np.conj(k)))
+
+
+FLAGSHIP_SAMPLES = ((0.0, 0.0), (0.5, 0.0), (-0.5, 0.0))
+disk_zero = st.tuples(st.floats(0.05, 0.8),
+                      st.floats(0.0, 2.0 * np.pi)).map(
+                          lambda p: p[0] * np.exp(1j * p[1]))
+phase = st.floats(0.0, 2.0 * np.pi)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(lam1=disk_zero, lam2=disk_zero,
+       theta=st.integers(0, 16).map(lambda k: k * np.pi / 32),
+       alpha=phase, beta=phase, gamma=phase)
+def test_sos_margin_bound_is_sound_on_the_family(lam1, lam2, theta, alpha,
+                                                 beta, gamma):
+    # The paper's family at the three flagship points, run through
+    # ``counterexample``: U = diag(e^ia, e^ib) R(theta) diag(1, e^ic).  The
+    # margin bound the search mixes with never exceeds the exact least
+    # margin of the same W over the audit grid.  Soundness only: near the
+    # degenerate mixings theta = 0 and pi/2 no certificate need exist.
+    assume(abs(lam1 - lam2) >= 0.05)
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    u = (np.diag(np.exp(1j * np.array([alpha, beta]))) @ rot
+         @ np.diag([1.0, np.exp(1j * gamma)]))
+    config = {"lambda1": cli.encode_complex(lam1),
+              "lambda2": cli.encode_complex(lam2),
+              "unitary": cli.encode_matrix(u),
+              "samples": [list(z) for z in FLAGSHIP_SAMPLES]}
+    bounds = []
+    bound = cone._sos_margin_bound
+
+    def recording(xs, rows, x):
+        w = cone._trace_normalized_psd(xs[0], len(x))
+        bounds.append((bound(xs, rows, x), w))
+        return bounds[-1][0]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_sos_margin_bound", recording)
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(tmp) / "out.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["counterexample", "--config", str(cfg),
+                             "--out", str(out)])
+        data = json.loads(out.read_text())
+    assert code in (0, 3)
+    assert (code == 0) == (data["status"] == "certified")
+    samples = SampleSet(tuple(complex(*z) for z in FLAGSHIP_SAMPLES))
+    problem = cone.ConeProblem(samples, 2, cone.default_grid(),
+                               MatrixKernel(samples, 2, np.zeros((6, 6))))
+    for value, w in bounds:
+        assert value <= float(np.min(cone._audit_margins(w, problem)[0]))
